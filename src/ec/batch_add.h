@@ -17,11 +17,25 @@
  * Batching changes the schedule, not the math: adds against one bucket
  * must still apply one at a time. The accumulator therefore admits at
  * most one pending add per bucket per flush (a busy flag); conflicting
- * adds wait in a carry queue and re-schedule after the flush. Random
- * MSM digit streams collide rarely (the bucket array is 4-8x larger
- * than a flush batch), so the carry queue stays short; adversarial
- * streams (every point into one bucket) degrade to one add per flush
- * but remain correct — the property tests pin exactly that case.
+ * adds wait in a carry queue and re-schedule after the flush.
+ *
+ * Random digit streams do not collide rarely: how often they collide
+ * depends on how full the batch is relative to the bucket array. A
+ * batch as large as the bucket array can never fill, and one half its
+ * size fills only after ~0.4 collisions per slot; MSM windows of
+ * c <= 12 bits have at most 2048 buckets. If the carried adds could
+ * pile up, every flush would rescan all of them: O(n^2) per window.
+ * Two rules keep the work linear:
+ *   - the batch is sized to a quarter of the bucket count
+ *     (batchAffineCap), so a uniformly random stream fills it with
+ *     ~cap/8 collisions;
+ *   - add() flushes when the batch OR the carry queue reaches the cap,
+ *     so the carry queue never holds more than one batch and each
+ *     flush's rescan is O(cap).
+ * Streams that reach few buckets (an MSM's top window; adversarially,
+ * every point into one bucket) degrade to as few adds per flush as
+ * they reach buckets, at O(cap) rescan each, but remain correct — the
+ * property tests pin the one-bucket case.
  *
  * Special cases are resolved at classification time, before the shared
  * inversion, so the denominator array is always invertible:
@@ -41,8 +55,28 @@
 #include "ec/curve.h"
 #include "ff/fp.h"
 #include "obs/memprof.h"
+#include "obs/metrics.h"
 
 namespace zkp::ec {
+
+/** Default upper bound on a flush batch. */
+constexpr std::size_t kBatchAffineMaxCap = 1024;
+
+/**
+ * Flush-batch size for an array of @p buckets buckets: a quarter of
+ * the bucket count, so a random digit stream fills a batch with few
+ * collisions, clamped to [16, @p max_cap]. A @p max_cap below 16 wins,
+ * floored at 4. Each flush pays one field inversion, which the window
+ * cost model (msmWindowBits) charges per batchAffineCap adds.
+ */
+constexpr std::size_t
+batchAffineCap(std::size_t buckets,
+               std::size_t max_cap = kBatchAffineMaxCap)
+{
+    const std::size_t quarter = buckets / 4 < 16 ? 16 : buckets / 4;
+    const std::size_t cap = quarter < max_cap ? quarter : max_cap;
+    return cap < 4 ? 4 : cap;
+}
 
 template <typename Field>
 class BatchAffineAdder
@@ -50,9 +84,18 @@ class BatchAffineAdder
   public:
     using Affine = AffinePoint<Field>;
 
+    /** Flush and reschedule totals since construction. */
+    struct Stats
+    {
+        std::uint64_t flushes = 0;
+        std::uint64_t carry_rescheduled = 0;
+    };
+
+    /** @p max_cap bounds the per-window batch size batchAffineCap
+     *  picks in reset(). */
     explicit BatchAffineAdder(std::size_t buckets,
-                              std::size_t batch_cap = 1024)
-        : cap_(batch_cap < 4 ? 4 : batch_cap)
+                              std::size_t max_cap = kBatchAffineMaxCap)
+        : max_cap_(max_cap)
     {
         reset(buckets);
         batch_.reserve(cap_ + 16);
@@ -61,10 +104,12 @@ class BatchAffineAdder
         app_idx_.reserve(cap_ + 16);
     }
 
-    /** Clear all buckets to infinity (reusable across windows). */
+    /** Clear all buckets to infinity (reusable across windows) and
+     *  size the flush batch to the bucket count. */
     void
     reset(std::size_t buckets)
     {
+        cap_ = batchAffineCap(buckets, max_cap_);
         buckets_.assign(buckets, Affine());
         busy_.assign(buckets, 0);
         batch_.clear();
@@ -91,24 +136,28 @@ class BatchAffineAdder
         if (p.infinity)
             return;
         schedule((std::uint32_t)bucket, p);
-        if (batch_.size() >= cap_) {
-            applyBatch();
-            recycle();
-        }
+        while (batch_.size() >= cap_ || carry_.size() >= cap_)
+            flushOnce();
     }
 
     /** Apply every scheduled add; buckets() is coherent afterwards. */
     void
     flush()
     {
-        while (!batch_.empty() || !carry_.empty()) {
-            applyBatch();
-            recycle();
-        }
+        while (!batch_.empty() || !carry_.empty())
+            flushOnce();
     }
 
     /** The bucket array (valid after flush()). */
     const std::vector<Affine>& buckets() const { return buckets_; }
+
+    /** Flush batch size chosen by the last reset(). */
+    std::size_t batchCap() const { return cap_; }
+
+    /** Adds waiting for a busy bucket; below batchCap() after add(). */
+    std::size_t carrySize() const { return carry_.size(); }
+
+    const Stats& stats() const { return stats_; }
 
     /**
      * Hint that @p bucket is about to be read-modified by add(). The
@@ -153,14 +202,23 @@ class BatchAffineAdder
         batch_.push_back({bucket, p});
     }
 
-    /** Move carried adds back into the (now conflict-free) batch. */
+    /** Apply the batch, then move carried adds back into the (now
+     *  conflict-free) batch. */
     void
-    recycle()
+    flushOnce()
     {
+        static obs::Counter& flushes = obs::counter("msm.batch_flushes");
+        static obs::Counter& rescheduled =
+            obs::counter("msm.carry_rescheduled");
+        applyBatch();
         carried_.clear();
         carried_.swap(carry_);
         for (const Pending& e : carried_)
             schedule(e.bucket, e.pt);
+        ++stats_.flushes;
+        stats_.carry_rescheduled += carried_.size();
+        flushes.add();
+        rescheduled.add(carried_.size());
     }
 
     void
@@ -219,7 +277,9 @@ class BatchAffineAdder
         batch_.clear();
     }
 
-    std::size_t cap_;
+    std::size_t max_cap_;
+    std::size_t cap_ = 0;
+    Stats stats_;
     std::vector<Affine> buckets_;
     std::vector<std::uint8_t> busy_;
     std::vector<Pending> batch_, carry_, carried_;

@@ -24,7 +24,8 @@
  *    stay affine and adds resolve through a shared Montgomery batch
  *    inversion, cutting the per-add cost from ~16 Jacobian muls to
  *    ~6 and routing the multiplies through the dispatched SIMD
- *    ff::mulBatch kernels;
+ *    ff::mulBatch kernels. Each flush batch is sized to the window's
+ *    bucket count, and the window model charges its inversion;
  *  - scalars are HALVED by the GLV endomorphism where the curve
  *    admits one (msmCurve / msmGlv): k = k1 + lambda*k2 with
  *    |k1|,|k2| ~ sqrt(r) turns n full-width scalars into 2n
@@ -74,18 +75,35 @@ enum MsmBranchSite : sim::u32
 };
 
 /**
+ * Fixed cost of one batch-affine flush, in the window model's units (a
+ * model mul is a sixth of a batch-affine add: ~30 ns for BN254 G1 on
+ * an AVX-512 IFMA Xeon). It is the one field inversion per flush
+ * (binary extended Euclid, 10-14 us there) plus batchInverse's chain
+ * setup and merge: 330-470 model muls, rounded to 400.
+ */
+constexpr double kMsmFlushMuls = 400.0;
+
+/**
  * Pippenger window size for @p n points of @p max_bits-bit scalars,
  * chosen by cost model rather than the classic log2(n) - 3 rule of
  * thumb. With batch-affine buckets an accumulation add costs ~6 field
- * muls while the running-sum fold pays ~27 muls (one Jacobian mixed
- * add plus one full add) per bucket, so for window width c:
+ * muls, the running-sum fold pays ~27 muls (one Jacobian mixed add
+ * plus one full add) per bucket, and every flush pays one inversion
+ * (kMsmFlushMuls). A window of 2^(c-1) buckets flushes every
+ * batchAffineCap(2^(c-1)) adds; the top window holds only the
+ * t = max_bits mod c leftover bits, so its batch holds at most 2^t
+ * distinct buckets. For window width c:
  *
- *   cost(c) = windows(c) * (n * 6 + 2^(c-1) * 27),
+ *   cost(c) = windows(c) * (n * 6 + 2^(c-1) * 27)
+ *           + (windows(c) - 1) * n / batchAffineCap(2^(c-1)) * INV
+ *           + n / min(batchAffineCap(2^(c-1)), 2^t) * INV,
  *   windows(c) = max_bits / c + 1.
  *
  * Minimizing this directly adapts the window to the scalar width —
  * essential once GLV halves max_bits — and grows c monotonically
- * with n.
+ * with n. The flush terms keep small MSMs off narrow windows, whose
+ * small batches would spend more on inversions than on adds, and
+ * steer clear of widths whose top window only a few buckets share.
  */
 inline unsigned
 msmWindowBits(std::size_t n, std::size_t max_bits = 256)
@@ -93,10 +111,17 @@ msmWindowBits(std::size_t n, std::size_t max_bits = 256)
     unsigned best_c = 1;
     double best_cost = 0;
     for (unsigned c = 1; c <= 16; ++c) {
-        const double windows = (double)(max_bits / c + 1);
+        const std::size_t buckets = std::size_t(1) << (c - 1);
+        const std::size_t windows = max_bits / c + 1;
+        const std::size_t cap = batchAffineCap(buckets);
+        const std::size_t top_distinct = std::size_t(1) << (max_bits % c);
+        const double flushes =
+            (double)(windows - 1) * (double)n / (double)cap +
+            (double)n / (double)std::min(cap, top_distinct);
         const double cost =
-            windows *
-            ((double)n * 6.0 + (double)(std::size_t(1) << (c - 1)) * 27.0);
+            (double)windows *
+                ((double)n * 6.0 + (double)buckets * 27.0) +
+            flushes * kMsmFlushMuls;
         if (c == 1 || cost < best_cost) {
             best_cost = cost;
             best_c = c;
@@ -244,8 +269,8 @@ msmSerial(const Affine* points, const ScalarRepr* scalars, std::size_t n,
     if (n == 0)
         return Point::infinity();
 
-    ZKP_TRACE_SCOPE("msm_chunk", "n", (obs::u64)n);
     const unsigned c = msmWindowBits(n, max_bits);
+    ZKP_TRACE_SCOPE("msm_chunk", "c", (obs::u64)c);
     const unsigned windows = msmSignedWindows<ScalarRepr>(c, max_bits);
     const auto biased = msmBiasScalars(scalars, n, c, windows);
     BatchAffineAdder<typename Affine::FieldT> acc(std::size_t(1)
@@ -280,8 +305,8 @@ msmWindowParallel(const Affine* points, const ScalarRepr* scalars,
     if (n == 0)
         return Point::infinity();
 
-    ZKP_TRACE_SCOPE("msm_windows", "n", (obs::u64)n);
     const unsigned c = msmWindowBits(n, max_bits);
+    ZKP_TRACE_SCOPE("msm_windows", "c", (obs::u64)c);
     const unsigned windows = msmSignedWindows<ScalarRepr>(c, max_bits);
     std::vector<Point> window_sums(windows, Point::infinity());
 
@@ -300,14 +325,19 @@ msmWindowParallel(const Affine* points, const ScalarRepr* scalars,
                     });
     }
 
+    // Workers claim windows top first: the top window's few distinct
+    // digits collide on most adds, making it the slowest, and claimed
+    // last it would leave one worker finishing it alone.
     parallelFor(windows, threads,
-                [&](std::size_t, std::size_t wb, std::size_t we) {
+                [&](std::size_t, std::size_t ib, std::size_t ie) {
                     BatchAffineAdder<typename Affine::FieldT> acc(
                         std::size_t(1) << (c - 1));
-                    for (std::size_t w = wb; w < we; ++w)
+                    for (std::size_t i = ib; i < ie; ++i) {
+                        const std::size_t w = windows - 1 - i;
                         window_sums[w] = msmWindowSum<Point>(
                             points, scalars, biased.data(), n,
                             (unsigned)w, c, acc);
+                    }
                 });
 
     Point result = Point::infinity();
@@ -448,6 +478,13 @@ msmGlv(const typename Group::Affine* points,
  * self-test passed) and the input is large enough to amortize the
  * split, and falls back to the generic signed-window MSM otherwise
  * (G2, tiny inputs, or a curve where the derivation failed).
+ *
+ * Terms that contribute nothing (point at infinity or zero scalar)
+ * are dropped first when they are at least half the input. Groth16's
+ * B queries are almost all infinity for many circuits. Left in, every
+ * window still scans them, and the window model sizes the bucket
+ * array for all n of them; the bucket fold costs the same however
+ * few buckets are filled.
  */
 template <typename Group>
 typename Group::Jacobian
@@ -455,6 +492,26 @@ msmCurve(const typename Group::Affine* points,
          const typename Group::Scalar::Repr* scalars, std::size_t n,
          std::size_t threads = 1)
 {
+    const auto live = [&](std::size_t i) {
+        return !points[i].infinity && !scalars[i].isZero();
+    };
+    std::size_t n_live = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        n_live += live(i);
+    if (n_live < n && 2 * n_live <= n) {
+        std::vector<typename Group::Affine> pts;
+        std::vector<typename Group::Scalar::Repr> sc;
+        pts.reserve(n_live);
+        sc.reserve(n_live);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (live(i)) {
+                pts.push_back(points[i]);
+                sc.push_back(scalars[i]);
+            }
+        }
+        return msmCurve<Group>(pts.data(), sc.data(), n_live, threads);
+    }
+
     if constexpr (GlvCapable<Group>) {
         if (n >= kMsmGlvMin && Glv<Group>::instance().usable())
             return msmGlv<Group>(points, scalars, n, threads);

@@ -195,8 +195,9 @@ TYPED_TEST(QuadraticFieldLaws, RingAxiomsAndInverse)
         EXPECT_EQ(a * b, b * a);
         EXPECT_EQ(a * (b + c), a * b + a * c);
         EXPECT_EQ(a.squared(), a * a);
-        if (!a.isZero())
+        if (!a.isZero()) {
             EXPECT_EQ(a * a.inverse(), F::one());
+        }
         // Norm is multiplicative (it is the map to the base field).
         EXPECT_EQ((a * b).norm(), a.norm() * b.norm());
         // Conjugation is a ring homomorphism.

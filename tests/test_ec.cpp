@@ -189,5 +189,138 @@ TEST(MsmWindow, GrowsWithSize)
     EXPECT_LE(msmWindowBits(std::size_t(1) << 40), 16u);
 }
 
+TEST(MsmWindow, GlvWidthNeverShrinksWithSize)
+{
+    const unsigned half = Glv<Bn254G1>::instance().halfBits();
+    unsigned prev = 0;
+    for (unsigned log2 = 10; log2 <= 17; ++log2) {
+        const unsigned c = msmWindowBits(std::size_t(2) << log2, half);
+        EXPECT_GE(c, prev) << "2^" << log2 << " points";
+        prev = c;
+    }
+}
+
+/** @p n distinct G1 points: a running sum with a fixed step. */
+std::vector<Bn254G1::Affine>
+distinctPoints(std::size_t n)
+{
+    using J = Bn254G1::Jacobian;
+    const J step = J{Bn254G1::generator()}.mulScalar((u64)12345);
+    std::vector<J> jac(n);
+    J acc = step;
+    for (auto& p : jac) {
+        p = acc;
+        acc += step;
+    }
+    return batchToAffine(jac);
+}
+
+// A uniformly random digit stream, 32 adds per bucket. The carry queue
+// must never outgrow one batch, and a batch sized to the bucket count
+// fills with few collisions, so few carried adds are rescheduled; a
+// batch that cannot fill would leave each flush rescanning O(n) adds.
+TEST(BatchAffine, RandomStreamKeepsCarryBounded)
+{
+    using G = Bn254G1;
+    using J = G::Jacobian;
+    Rng rng(31);
+    const auto pool = distinctPoints(256);
+
+    for (std::size_t buckets : {64, 512, 1024, 2048, 4096}) {
+        BatchAffineAdder<G::Field> acc(buckets);
+        EXPECT_EQ(acc.batchCap(), batchAffineCap(buckets));
+        std::vector<J> ref(buckets);
+        const std::size_t adds = 32 * buckets;
+        for (std::size_t i = 0; i < adds; ++i) {
+            const std::size_t b = rng.nextBelow(buckets);
+            G::Affine p = pool[rng.nextBelow(pool.size())];
+            if (rng.nextBelow(2))
+                p = p.negated();
+            acc.add(b, p);
+            ref[b] = ref[b].addMixed(p);
+            ASSERT_LE(acc.carrySize(), acc.batchCap())
+                << buckets << " buckets, add " << i;
+        }
+        acc.flush();
+        EXPECT_LE(acc.stats().carry_rescheduled, 4 * adds)
+            << buckets << " buckets";
+        for (std::size_t b = 0; b < buckets; ++b)
+            ASSERT_EQ(J{acc.buckets()[b]}, ref[b])
+                << buckets << " buckets, bucket " << b;
+    }
+}
+
+// The top window of an MSM holds only the scalar's leftover high bits,
+// so its digits reach a handful of buckets and almost every add
+// collides. The carry queue must stay bounded there too.
+TEST(BatchAffine, NarrowStreamKeepsCarryBounded)
+{
+    using G = Bn254G1;
+    using J = G::Jacobian;
+    Rng rng(33);
+    const auto pool = distinctPoints(64);
+    const std::size_t buckets = 512, reached = 4;
+    BatchAffineAdder<G::Field> acc(buckets);
+    std::vector<J> ref(buckets);
+    for (std::size_t i = 0; i < 16 * acc.batchCap(); ++i) {
+        const std::size_t b = rng.nextBelow(reached);
+        const G::Affine& p = pool[rng.nextBelow(pool.size())];
+        acc.add(b, p);
+        ref[b] = ref[b].addMixed(p);
+        ASSERT_LE(acc.carrySize(), acc.batchCap()) << "add " << i;
+    }
+    acc.flush();
+    for (std::size_t b = 0; b < buckets; ++b)
+        ASSERT_EQ(J{acc.buckets()[b]}, ref[b]) << "bucket " << b;
+}
+
+TEST(MsmGlv, MatchesPlainMsmAcrossThreads)
+{
+    using G = Bn254G1;
+    using J = G::Jacobian;
+    Rng rng(32);
+    const auto points = distinctPoints(std::size_t(1) << 14);
+    std::vector<G::Scalar::Repr> scalars(points.size());
+    for (auto& s : scalars)
+        s = G::Scalar::random(rng).toBigInt();
+
+    for (std::size_t n : {std::size_t(1) << 12, std::size_t(1) << 14}) {
+        const J plain = msm<J>(points.data(), scalars.data(), n);
+        for (std::size_t threads : {1, 4})
+            EXPECT_EQ(msmCurve<G>(points.data(), scalars.data(), n,
+                                  threads),
+                      plain)
+                << n << " points, " << threads << " threads";
+    }
+}
+
+// Mostly-dead input (points at infinity, zero scalars), as in
+// Groth16's B queries: msmCurve drops the dead terms before the MSM.
+TYPED_TEST(GroupTest, MsmCurveSkipsDeadTerms)
+{
+    using G = TypeParam;
+    using J = typename G::Jacobian;
+    using Repr = typename G::Scalar::Repr;
+    Rng rng(34);
+    const J g{G::generator()};
+
+    const std::size_t n = 600;
+    std::vector<typename G::Affine> points(n);
+    std::vector<Repr> scalars(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i % 3 == 0)
+            points[i] = g.mulScalar(rng.nextBelow(1000) + 1).toAffine();
+        else
+            points[i] = typename G::Affine();
+        scalars[i] = G::Scalar::random(rng).toBigInt();
+        if (i % 9 == 3)
+            scalars[i] = Repr();
+    }
+    // Every third point is live; a third of those has a zero scalar.
+    const J plain = msm<J>(points.data(), scalars.data(), n);
+    EXPECT_EQ(msmCurve<G>(points.data(), scalars.data(), n), plain);
+    EXPECT_EQ(msmCurve<G>(points.data(), scalars.data(), n, 4), plain);
+}
+
 } // namespace
 } // namespace zkp::ec
