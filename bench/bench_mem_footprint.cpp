@@ -23,8 +23,8 @@
  *   --full   also run PlonK for entries whose lowering exceeds the
  *            gate budget (SHA-256's ~520k-point SRS)
  *
- * Writes BENCH_mem_footprint.json (same "results" envelope as
- * BENCH_kernels.json, so bench_compare --against can diff two runs).
+ * Writes BENCH_mem_footprint.json: one "results" entry per zoo entry,
+ * scheme and phase, with the timing and memory fields above.
  * Memory profiling is force-enabled; under sanitizer builds the shim
  * compiles out and the alloc columns read 0 while the RSS columns
  * stay real.

@@ -36,9 +36,8 @@
  *                assert on a live daemon's telemetry)
  *
  * Reports p50/p95/p99/p999/mean latency per request kind plus
- * throughput, and writes BENCH_serve.json whose "results" array uses
- * the BENCH_kernels.json entry schema, so `bench_compare --against`
- * can diff two serving runs — including the server-side
+ * throughput, and writes BENCH_serve.json whose "results" array holds
+ * one entry per latency statistic — including the server-side
  * serve_server_{prove,verify}_{p50,p99,p999} tail-latency entries
  * scraped from the service's own lifecycle histograms.
  *
@@ -68,7 +67,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "kernels_common.h"
 #include "serve/circuit_host.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
@@ -78,7 +76,30 @@
 namespace {
 
 using namespace zkp;
-using bench::KernelEntry;
+
+/** One "results" entry of BENCH_serve.json: a latency statistic in
+ *  seconds over `repeats` samples. */
+struct LatencyEntry
+{
+    std::string name;
+    std::size_t n = 0;
+    std::size_t threads = 1;
+    unsigned repeats = 1;
+    double secondsMean = 0;
+    double secondsMin = 0;
+};
+
+/** Write @p text to @p path; false on I/O failure. */
+bool
+writeFile(const std::string& path, const std::string& text)
+{
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (!f)
+        return false;
+    const bool ok =
+        std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    return std::fclose(f) == 0 && ok;
+}
 
 struct Options
 {
@@ -361,9 +382,9 @@ clientLoopSocket(const std::vector<MixItem>& mix, const Options& opt,
     ::close(fd);
 }
 
-/** Latency entries in the BENCH_kernels.json "results" schema. */
+/** p50/p95/p99/p999/mean entries for one request kind. */
 void
-appendLatencyEntries(std::vector<KernelEntry>& entries,
+appendLatencyEntries(std::vector<LatencyEntry>& entries,
                      const std::string& kind,
                      std::vector<double> samples, const Options& opt)
 {
@@ -385,14 +406,13 @@ appendLatencyEntries(std::vector<KernelEntry>& entries,
         {"mean", sum / (double)samples.size()},
     };
     for (const auto& row : rows) {
-        KernelEntry e;
+        LatencyEntry e;
         e.name = "serve_" + kind + "_" + row.suffix;
         e.n = std::size_t(1) << opt.log2N;
         e.threads = opt.clients;
         e.repeats = (unsigned)samples.size();
-        // Both fields carry the statistic: bench_compare diffs
-        // seconds_min, and "min of repeats" has no analogue for a
-        // percentile of a latency distribution.
+        // Both fields carry the statistic: "min of repeats" has no
+        // analogue for a percentile of a latency distribution.
         e.secondsMean = row.value;
         e.secondsMin = row.value;
         entries.push_back(std::move(e));
@@ -450,8 +470,7 @@ scrapeInproc(const serve::ProofService& service)
 }
 
 // --- zkperf-serve-stats/2 field scanning -----------------------------------
-// Ad-hoc tolerant scanning of the service's own JSON rendering, the
-// same convention parseKernelBaseline uses for bench baselines: no
+// Ad-hoc tolerant scanning of the service's own JSON rendering: no
 // general JSON parser, just field extraction from a known document.
 
 std::string
@@ -567,7 +586,7 @@ scrapeStatsV2Socket(const std::string& path, std::string& jsonOut)
 
 /** serve_server_* entries: the daemon's own tail quantiles. */
 void
-appendServerEntries(std::vector<KernelEntry>& entries,
+appendServerEntries(std::vector<LatencyEntry>& entries,
                     const ServerScrape& server, const Options& opt)
 {
     for (const char* kind : {"prove", "verify"}) {
@@ -584,7 +603,7 @@ appendServerEntries(std::vector<KernelEntry>& entries,
             {"p999", lane->p999},
         };
         for (const auto& row : rows) {
-            KernelEntry e;
+            LatencyEntry e;
             e.name =
                 std::string("serve_server_") + kind + "_" + row.suffix;
             e.n = std::size_t(1) << opt.log2N;
@@ -641,7 +660,7 @@ crossCheckServer(const ServerScrape& server,
 std::string
 serveJson(const Options& opt, const std::string& circuit,
           const ClientStats& total, double elapsed,
-          const std::vector<KernelEntry>& entries)
+          const std::vector<LatencyEntry>& entries)
 {
     char buf[512];
     std::string json = "{\n  \"bench\": \"bench_serve\",\n";
@@ -758,7 +777,7 @@ main(int argc, char** argv)
                          opt.socketPath.c_str());
             return 1;
         }
-        if (!bench::writeKernelJson(opt.statsDumpPath, json)) {
+        if (!writeFile(opt.statsDumpPath, json)) {
             std::fprintf(stderr, "bench_serve: cannot write %s\n",
                          opt.statsDumpPath.c_str());
             return 1;
@@ -879,14 +898,13 @@ main(int argc, char** argv)
         total.completed += s.completed;
     }
 
-    std::vector<KernelEntry> entries;
+    std::vector<LatencyEntry> entries;
     appendLatencyEntries(entries, "prove", total.proveLatency, opt);
     appendLatencyEntries(entries, "verify", total.verifyLatency, opt);
     // Per-priority breakdown. The load mix is fixed — proves are
     // Interactive, verifies are Batch — so the per-priority series
-    // are the per-kind series under their scheduling-class names,
-    // letting a baseline diff catch a priority-inversion regression
-    // by name.
+    // are the per-kind series under their scheduling-class names, so
+    // a priority inversion shows by name in the results.
     appendLatencyEntries(entries, "prove_interactive",
                          total.proveLatency, opt);
     appendLatencyEntries(entries, "verify_batch", total.verifyLatency,
@@ -938,7 +956,7 @@ main(int argc, char** argv)
 
     const std::string json =
         serveJson(opt, mix_label, total, elapsed, entries);
-    if (!bench::writeKernelJson(opt.outPath, json)) {
+    if (!writeFile(opt.outPath, json)) {
         std::fprintf(stderr, "bench_serve: cannot write %s\n",
                      opt.outPath.c_str());
         return 1;

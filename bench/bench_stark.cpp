@@ -1,36 +1,29 @@
 /**
  * @file
- * E13/E14 — transparent STARK backend characterization.
+ * E14 — transparent STARK backend characterization.
  *
- * Default mode sweeps both shipped AIRs (Fibonacci, MiMC hash chain)
- * over the trace-length sweep, timing prove and verify and recording
- * proof sizes, and writes BENCH_stark.json in the BENCH_kernels.json
- * entry schema — so bench_compare gates STARK prover regressions with
- * `bench_compare BENCH_stark.json --against <fresh>` exactly like the
- * kernel and serve baselines.
- *
- * --mix (E14) reruns the opcode-mix and MPKI analyses on the STARK
- * prover and prints them next to the Groth16 proving stage measured
- * the same way: the STARK prover is hash-compression dominated (wide
- * multiplies near zero per kilo-instruction, PrimOp::HashCompress the
- * top primitive) where the SNARK prover is Montgomery-multiply
- * dominated — the microarchitectural contrast EXPERIMENTS.md §E14
- * documents.
+ * --mix reruns the opcode-mix and MPKI analyses on the STARK prover
+ * and prints them next to the Groth16 proving stage measured the same
+ * way: the STARK prover is hash-compression dominated (wide multiplies
+ * near zero per kilo-instruction, PrimOp::HashCompress the top
+ * primitive) where the SNARK prover is Montgomery-multiply dominated —
+ * the microarchitectural contrast EXPERIMENTS.md §E14 documents.
  *
  * --smoke proves and verifies one small instance per AIR and exits
  * nonzero on any failure (the CI stark-smoke step).
  *
- * Run: ./build/bench/bench_stark [--mix] [--smoke] [--out <path>]
- * Env: ZKP_MIN_LOG_N / ZKP_MAX_LOG_N (trace-length sweep),
- *      ZKP_REPEATS, ZKP_KERNEL_THREADS (prover threads, default 8),
- *      ZKP_SAMPLE_MASK (--mix cache-trace sampling)
+ * STARK prove/verify timings and proof sizes are perfbench's
+ * stark-sweep workload (perfbench/README.md).
+ *
+ * Run: ./build/bench/bench_stark --smoke | --mix
+ * Env: ZKP_MAX_LOG_N (--mix trace length), ZKP_SAMPLE_MASK (--mix
+ *      cache-trace sampling)
  */
 
 #include <memory>
 
 #include "bench_util.h"
 #include "core/analysis.h"
-#include "kernels_common.h"
 #include "stark/air.h"
 #include "stark/serialize.h"
 #include "stark/stark.h"
@@ -71,64 +64,6 @@ runSmoke()
         std::printf("bench_stark --smoke: %s ok (%zu proof bytes)\n",
                     name, bytes.size());
     }
-    return 0;
-}
-
-int
-runTimings(const std::string& out_path)
-{
-    const std::size_t threads =
-        (std::size_t)envLong("ZKP_KERNEL_THREADS", 8);
-    const auto params = benchParams();
-
-    std::vector<KernelEntry> entries;
-    std::vector<std::pair<std::string, std::string>> notes;
-    notes.emplace_back("bench", "bench_stark");
-    notes.emplace_back("queries", std::to_string(params.queries));
-    notes.emplace_back("grind_bits",
-                       std::to_string(params.grindBits));
-    notes.emplace_back("blowup", std::to_string(params.blowup));
-
-    TextTable table;
-    table.setHeader({"air", "steps", "prove", "verify",
-                     "proof KiB", "bytes/step"});
-
-    for (const char* name : {"fib", "mimc"}) {
-        for (std::size_t n : sweepSizes()) {
-            const auto air = makeAir(name, n);
-            stark::StarkProof proof;
-            bool ok = true;
-            entries.push_back(timeKernel(
-                std::string("stark_prove_") + name, n, threads, [&] {
-                    proof = stark::prove(*air, params, threads);
-                }));
-            entries.push_back(timeKernel(
-                std::string("stark_verify_") + name, n, 1,
-                [&] { ok = stark::verify(*air, params, proof); }));
-            if (!ok)
-                std::printf("!! verification failed: %s n=%zu\n",
-                            name, n);
-            const std::size_t bytes =
-                stark::proofByteSize(proof);
-            notes.emplace_back(std::string("proof_bytes_") + name +
-                                   "_" + std::to_string(n),
-                               std::to_string(bytes));
-            table.addRow(
-                {name, "2^" + std::to_string(log2Of(n)),
-                 fmtSeconds(entries[entries.size() - 2].secondsMean),
-                 fmtSeconds(entries.back().secondsMean),
-                 fmtF((double)bytes / 1024.0, 1),
-                 fmtF((double)bytes / (double)n, 1)});
-        }
-    }
-    printTable("STARK prove/verify (transparent, no setup)", table);
-
-    const std::string json = kernelEntriesJson(entries, notes);
-    if (!writeKernelJson(out_path, json)) {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        return 1;
-    }
-    std::printf("results written to %s\n", out_path.c_str());
     return 0;
 }
 
@@ -263,15 +198,12 @@ int
 main(int argc, char** argv)
 {
     using namespace zkp::bench;
+    const bool smoke = hasFlag(argc, argv, "--smoke");
+    if (!smoke && !hasFlag(argc, argv, "--mix")) {
+        std::fprintf(stderr, "usage: %s --smoke | --mix\n", argv[0]);
+        return 2;
+    }
     std::printf("bench_stark: transparent STARK/FRI backend "
                 "(Goldilocks, SHA-256 Merkle, blowup 8)\n");
-    if (hasFlag(argc, argv, "--smoke"))
-        return runSmoke();
-    if (hasFlag(argc, argv, "--mix"))
-        return runMix();
-    std::string out_path = "BENCH_stark.json";
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], "--out") == 0)
-            out_path = argv[i + 1];
-    return runTimings(out_path);
+    return smoke ? runSmoke() : runMix();
 }

@@ -148,19 +148,6 @@ serveConnection(zkp::serve::ProofService& service, int fd)
           case wire::MsgType::Ping:
             resp.type = wire::MsgType::Pong;
             break;
-          case wire::MsgType::StatsRequest: {
-            const ProofService::Stats s = service.stats();
-            wire::StatsResponse body;
-            body.queueDepth = s.queueDepth;
-            body.accepted = s.accepted;
-            body.completed = s.completed;
-            body.queueFull = s.rejectedQueueFull;
-            body.deadlineExceeded = s.deadlineExceeded;
-            body.canceled = s.canceled;
-            resp.type = wire::MsgType::StatsResponse;
-            resp.body = wire::encodeStatsResponse(body);
-            break;
-          }
           case wire::MsgType::StatsV2Request: {
             wire::StatsV2Response body;
             body.json = service.statsJson();

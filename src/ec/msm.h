@@ -208,8 +208,9 @@ msmWindowSum(const Affine* points, const ScalarRepr* scalars,
     // couple of limb ops, cheap enough to do twice, and k = 8 digits
     // of batch-affine scheduling (~6 field muls each) comfortably
     // covers an LLC-miss latency without thrashing L1. Measured
-    // neutral-to-slightly-positive on bench_kernels msm_pippenger
-    // (docs/PERFORMANCE.md, "MSM bucket prefetch").
+    // neutral-to-slightly-positive on the 2^13 single-thread MSM
+    // (perfbench's ec.msm_g1_us_per_point.2e13.1t; docs/PERFORMANCE.md,
+    // "MSM bucket prefetch").
     constexpr std::size_t kPrefetchAhead = 8;
 
     for (std::size_t i = 0; i < n; ++i) {

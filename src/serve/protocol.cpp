@@ -217,32 +217,6 @@ decodeResult(const std::vector<std::uint8_t>& body)
 }
 
 std::vector<std::uint8_t>
-encodeStatsResponse(const StatsResponse& m)
-{
-    ByteWriter w;
-    w.putU64(m.queueDepth);
-    w.putU64(m.accepted);
-    w.putU64(m.completed);
-    w.putU64(m.queueFull);
-    w.putU64(m.deadlineExceeded);
-    w.putU64(m.canceled);
-    return w.bytes();
-}
-
-std::optional<StatsResponse>
-decodeStatsResponse(const std::vector<std::uint8_t>& body)
-{
-    ByteReader r(body);
-    StatsResponse m;
-    if (!r.getU64(m.queueDepth) || !r.getU64(m.accepted) ||
-        !r.getU64(m.completed) || !r.getU64(m.queueFull) ||
-        !r.getU64(m.deadlineExceeded) || !r.getU64(m.canceled) ||
-        !r.atEnd())
-        return std::nullopt;
-    return m;
-}
-
-std::vector<std::uint8_t>
 encodeStatsV2Response(const StatsV2Response& m)
 {
     ByteWriter w;

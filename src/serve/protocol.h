@@ -25,9 +25,6 @@
  *   Result        := status u8 | valid u8 | batch u32(as u64)
  *                    | queue_us u64 | exec_us u64 | proof bytes
  *   Ping / Pong   := empty
- *   StatsRequest  := empty
- *   StatsResponse := depth u64 | accepted u64 | completed u64
- *                    | queue_full u64 | deadline u64 | canceled u64
  *   StatsV2Request  := empty
  *   StatsV2Response := json str  (a zkperf-serve-stats/2 document,
  *                      serve/metrics_hub.h — full lifecycle
@@ -35,11 +32,9 @@
  *
  *   str / bytes   := u64 length | raw bytes
  *
- * Stats versioning: v1 (StatsRequest/StatsResponse, three counters
- * plus queue depth) stays byte-identical forever — old clients keep
- * working. v2 carries the whole snapshot as JSON so the schema can
- * grow without another wire rev; clients that care about layout pin
- * on the document's "schema" tag, not the message type.
+ * Stats versioning: v2 carries the whole snapshot as JSON so the
+ * schema can grow without another wire rev; clients that care about
+ * layout pin on the document's "schema" tag, not the message type.
  *
  * Max payload is bounded (kMaxFrameBytes) so a hostile length prefix
  * cannot drive an allocation bomb.
@@ -65,11 +60,10 @@ enum class MsgType : std::uint8_t
     ProveRequest = 1,
     VerifyRequest = 2,
     Ping = 3,
-    StatsRequest = 4,
+    // 4 and 0x84 were the retired stats v1 op; never reuse them.
     StatsV2Request = 5,
     Result = 0x81,
     Pong = 0x83,
-    StatsResponse = 0x84,
     StatsV2Response = 0x85,
 };
 
@@ -109,16 +103,6 @@ struct Result
     std::vector<std::uint8_t> proof;
 };
 
-struct StatsResponse
-{
-    std::uint64_t queueDepth = 0;
-    std::uint64_t accepted = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t queueFull = 0;
-    std::uint64_t deadlineExceeded = 0;
-    std::uint64_t canceled = 0;
-};
-
 /** v2 stats scrape: one zkperf-serve-stats/2 JSON document. */
 struct StatsV2Response
 {
@@ -146,10 +130,6 @@ std::optional<VerifyRequest> decodeVerifyRequest(
 
 std::vector<std::uint8_t> encodeResult(const Result& m);
 std::optional<Result> decodeResult(
-    const std::vector<std::uint8_t>& body);
-
-std::vector<std::uint8_t> encodeStatsResponse(const StatsResponse& m);
-std::optional<StatsResponse> decodeStatsResponse(
     const std::vector<std::uint8_t>& body);
 
 std::vector<std::uint8_t>

@@ -120,8 +120,9 @@ TYPED_TEST(SerializeRoundTrip, CorruptedBytesRejectOrFailVerify)
         if (m == bytes)
             return; // XOR happened to cancel; nothing was mutated
         const auto parsed = snark::deserializeProof<Curve>(m);
-        if (parsed)
+        if (parsed) {
             EXPECT_FALSE(Scheme::verify(f.kp.vk, f.pub, *parsed));
+        }
     });
 }
 

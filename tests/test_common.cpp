@@ -211,7 +211,7 @@ TEST(TimerTest, LapReturnsElapsedAndResets)
     Timer t;
     volatile unsigned sink = 0;
     for (unsigned i = 0; i < 5000000; ++i)
-        sink += i;
+        sink = sink + i;
     const double first = t.lap();
     EXPECT_GT(first, 0.0);
     // lap() restarted the clock: an immediate reading excludes the

@@ -403,8 +403,9 @@ TEST(Memprof, TwiddleAccountFollowsDomainLifetime)
  */
 TEST(Memprof, AllocStormVsScraper)
 {
-    if (memprof::available())
+    if (memprof::available()) {
         ASSERT_TRUE(memprof::setTracking(true));
+    }
 
     std::atomic<bool> stop{false};
     std::vector<std::thread> workers;

@@ -213,7 +213,7 @@ spinWork()
 {
     volatile unsigned sink = 0;
     for (unsigned i = 0; i < 2000; ++i)
-        sink += i;
+        sink = sink + i;
 }
 
 std::vector<obs::SpanEvent>
@@ -696,11 +696,14 @@ TEST(PmuTest, AvailabilityIsConsistent)
         const auto d = obs::pmu::delta(a, b);
         // Counters are cumulative per thread: deltas never go
         // negative (clamped) and cycles must have advanced.
-        for (std::size_t i = 0; i < obs::pmu::kNumEvents; ++i)
-            if (d.validMask >> i & 1u)
+        for (std::size_t i = 0; i < obs::pmu::kNumEvents; ++i) {
+            if (d.validMask >> i & 1u) {
                 EXPECT_GE(d.value[i], 0.0);
-        if (d.has(obs::pmu::Event::Cycles))
+            }
+        }
+        if (d.has(obs::pmu::Event::Cycles)) {
             EXPECT_GT(d.get(obs::pmu::Event::Cycles), 0.0);
+        }
     }
 }
 

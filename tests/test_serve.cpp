@@ -460,7 +460,7 @@ TEST(WireProtocol, ResultRoundTripAndBoundsChecks)
     EXPECT_FALSE(wire::decodeResult(body).has_value());
 }
 
-TEST(WireProtocol, StatsV2RoundTripAndV1Compat)
+TEST(WireProtocol, StatsV2RoundTrip)
 {
     // v2: the JSON document survives the wire byte-for-byte.
     wire::StatsV2Response v2;
@@ -479,33 +479,6 @@ TEST(WireProtocol, StatsV2RoundTripAndV1Compat)
     // Truncated length prefix must not decode.
     std::vector<std::uint8_t> shorty(body.begin(), body.begin() + 4);
     EXPECT_FALSE(wire::decodeStatsV2Response(shorty).has_value());
-
-    // v1 stays byte-identical: six little-endian u64 fields, no
-    // framing changes — an old client's decoder keeps working.
-    wire::StatsResponse v1;
-    v1.queueDepth = 1;
-    v1.accepted = 2;
-    v1.completed = 3;
-    v1.queueFull = 4;
-    v1.deadlineExceeded = 5;
-    v1.canceled = 6;
-    auto v1body = wire::encodeStatsResponse(v1);
-    ASSERT_EQ(v1body.size(), 48u);
-    for (std::size_t i = 0; i < 6; ++i) {
-        EXPECT_EQ(v1body[i * 8], (std::uint8_t)(i + 1));
-        for (std::size_t b = 1; b < 8; ++b)
-            EXPECT_EQ(v1body[i * 8 + b], 0u);
-    }
-    auto v1back = wire::decodeStatsResponse(v1body);
-    ASSERT_TRUE(v1back.has_value());
-    EXPECT_EQ(v1back->completed, 3u);
-    EXPECT_EQ(v1back->canceled, 6u);
-
-    // The two stats ops stay distinct on the wire.
-    EXPECT_NE((std::uint8_t)wire::MsgType::StatsV2Request,
-              (std::uint8_t)wire::MsgType::StatsRequest);
-    EXPECT_NE((std::uint8_t)wire::MsgType::StatsV2Response,
-              (std::uint8_t)wire::MsgType::StatsResponse);
 }
 
 // ---------------------------------------------------------------------
