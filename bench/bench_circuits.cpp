@@ -18,8 +18,8 @@
  *                   the default gate budget (SHA-256: ~114k gates and
  *                   a ~520k-point SRS — minutes of single-core work)
  *
- * Env knobs: ZKP_CSV=1 adds CSV blocks; ZKP_BENCH_THREADS sets the
- * worker count (default 1, matching the paper's single-thread runs).
+ * Env knobs: ZKP_BENCH_THREADS sets the worker count (default 1,
+ * matching the paper's single-thread runs).
  */
 
 #include <cstdio>

@@ -9,7 +9,6 @@
  *                   minutes to spare)
  *   ZKP_REPEATS     timing repeats, averaged (default 3, as in §IV)
  *   ZKP_SAMPLE_MASK memory-trace sampling mask (default 0 = trace all)
- *   ZKP_CSV         set to 1 to also print CSV blocks
  */
 
 #ifndef ZKP_BENCH_UTIL_H
@@ -23,7 +22,6 @@
 
 #include "common/table.h"
 #include "core/analysis.h"
-#include "obs/pmu.h"
 #include "snark/curve.h"
 
 namespace zkp::bench {
@@ -58,29 +56,12 @@ sampleMask()
     return (sim::u32)envLong("ZKP_SAMPLE_MASK", 0);
 }
 
-inline bool
-wantCsv()
-{
-    return envLong("ZKP_CSV", 0) != 0;
-}
-
-/** Print a titled table (plus CSV when requested). */
+/** Print a titled table. */
 inline void
 printTable(const std::string& title, const TextTable& t)
 {
     std::printf("\n== %s ==\n%s", title.c_str(), t.render().c_str());
-    if (wantCsv())
-        std::printf("-- csv --\n%s", t.renderCsv().c_str());
     std::fflush(stdout);
-}
-
-/** Apply a functor to both curve configurations. */
-template <typename Fn>
-void
-forEachCurve(Fn&& fn)
-{
-    fn(snark::Bn254{});
-    fn(snark::Bls381{});
 }
 
 /** log2 of a power of two, for axis labels. */
@@ -123,51 +104,6 @@ hasFlag(int argc, char** argv, const char* flag)
     for (int i = 1; i < argc; ++i)
         if (std::strcmp(argv[i], flag) == 0)
             return true;
-    return false;
-}
-
-/** One stage's measured hardware counters (--hw bench modes). */
-struct HwStageRow
-{
-    core::Stage stage = core::Stage::Compile;
-    obs::pmu::HwStats hw;
-};
-
-/**
- * Run every pipeline stage once at size @p n with real PMU counters
- * and return the per-stage hardware statistics. Rows report
- * hw.available=false when the machine denies perf access — callers
- * print the fallback notice and keep the simulated tables.
- */
-template <typename Curve>
-std::vector<HwStageRow>
-measureHwStages(std::size_t n, std::size_t threads)
-{
-    std::vector<HwStageRow> rows;
-    core::StageRunner<Curve> runner(n);
-    for (core::Stage s : core::kAllStages) {
-        core::StageRun run = runner.run(s, threads);
-        rows.push_back({s, run.hw});
-    }
-    return rows;
-}
-
-/**
- * Shared preamble of the --hw bench modes: reports availability and
- * returns false (after printing the reason) when hardware counters
- * cannot be read, in which case the caller sticks to simulator output.
- */
-inline bool
-hwModeUsable(const char* bench)
-{
-    if (obs::pmu::enabled())
-        return true;
-    std::printf("%s --hw: hardware counters unavailable (%s); "
-                "showing simulated results only\n",
-                bench,
-                obs::pmu::unavailableReason().empty()
-                    ? "disabled via ZKP_PMU=0"
-                    : obs::pmu::unavailableReason().c_str());
     return false;
 }
 

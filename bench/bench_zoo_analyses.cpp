@@ -14,7 +14,7 @@
  * Run: ./build/bench/bench_zoo_analyses [--quick]
  *   --quick   restrict to {exp, poseidon, sha256} (CI-sized)
  *
- * Env: ZKP_SAMPLE_MASK, ZKP_CSV as in the other benches.
+ * Env: ZKP_SAMPLE_MASK as in the other benches.
  */
 
 #include <cstdio>

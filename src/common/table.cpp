@@ -56,25 +56,6 @@ TextTable::render() const
 }
 
 std::string
-TextTable::renderCsv() const
-{
-    std::ostringstream out;
-    auto emit = [&](const std::vector<std::string>& row) {
-        for (std::size_t i = 0; i < row.size(); ++i) {
-            if (i)
-                out << ',';
-            out << row[i];
-        }
-        out << '\n';
-    };
-    if (!header_.empty())
-        emit(header_);
-    for (const auto& r : rows_)
-        emit(r);
-    return out.str();
-}
-
-std::string
 fmtF(double v, int prec)
 {
     char buf[64];

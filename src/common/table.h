@@ -3,8 +3,8 @@
  * Plain-text table rendering for the benchmark harness.
  *
  * Every bench binary prints the same rows/series the paper reports;
- * TextTable keeps that output aligned and optionally CSV-exportable so
- * the artifacts can be diffed against the paper's tables.
+ * TextTable keeps that output aligned so the artifacts can be diffed
+ * against the paper's tables.
  */
 
 #ifndef ZKP_COMMON_TABLE_H
@@ -15,7 +15,7 @@
 
 namespace zkp {
 
-/** Column-aligned text table with optional CSV output. */
+/** Column-aligned text table. */
 class TextTable
 {
   public:
@@ -27,9 +27,6 @@ class TextTable
 
     /** Render the table with aligned columns. */
     std::string render() const;
-
-    /** Render as CSV. */
-    std::string renderCsv() const;
 
     /** Number of data rows. */
     std::size_t rows() const { return rows_.size(); }

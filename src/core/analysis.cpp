@@ -17,7 +17,7 @@ stageBandwidthConcurrency(Stage s, const sim::CpuModel& cpu)
 {
     // Fraction of the P-cores each stage keeps busy in the paper's
     // one-thread-per-core configuration; derived from the stages'
-    // parallel structure (see DESIGN.md §6 and bench_table6).
+    // parallel structure (see DESIGN.md §6 and `bench_paper table6`).
     double f;
     switch (s) {
       case Stage::Compile:

@@ -404,33 +404,40 @@ runWeakScaling(std::size_t base_constraints,
         WeakScalingCurve curve;
         curve.stage = s;
         curve.baseConstraints = base_constraints;
+        out.push_back(std::move(curve));
+    }
 
-        // Baseline: one thread at the base size.
+    // Baseline: one thread at the base size. One runner per size times
+    // all five stages in order, so every stage runs once per size on a
+    // runner whose prerequisites already ran.
+    std::array<double, kNumStages> t1{};
+    {
         StageRunner<Curve> base(base_constraints);
-        resetParallelWorkSeconds();
-        StageRun run1 = base.run(s, 1);
-        const double t1 = run1.seconds;
+        for (Stage s : kAllStages)
+            t1[(std::size_t)s] = base.run(s, 1).seconds;
+    }
 
-        for (unsigned t : thread_counts) {
-            if (t == 1) {
-                // Same size, same thread count as the baseline.
+    for (unsigned t : thread_counts) {
+        if (t == 1) {
+            // Same size, same thread count as the baseline.
+            for (auto& curve : out)
                 curve.speedups.emplace_back(1, 1.0);
-                continue;
-            }
-            const std::size_t n = base_constraints * t;
-            StageRunner<Curve> runner(n);
+            continue;
+        }
+        StageRunner<Curve> runner(base_constraints * t);
+        for (Stage s : kAllStages) {
             resetParallelWorkSeconds();
             StageRun run = runner.run(s, 1);
             const double par = parallelWorkSeconds();
             const double speed =
                 modelStrongSpeedup(run.seconds, par, t, cpu);
             const double tn = run.seconds / speed;
-            curve.speedups.emplace_back(
-                t, tn > 0 ? t1 * (double)t / tn : 0.0);
+            out[(std::size_t)s].speedups.emplace_back(
+                t, tn > 0 ? t1[(std::size_t)s] * (double)t / tn : 0.0);
         }
-        curve.fittedSerial = fitGustafsonSerial(curve.speedups);
-        out.push_back(std::move(curve));
     }
+    for (auto& curve : out)
+        curve.fittedSerial = fitGustafsonSerial(curve.speedups);
     return out;
 }
 

@@ -8,7 +8,7 @@
  * reads the machine's actual counters so the simulator's calibration
  * error becomes measurable: StageRunner records a per-stage hardware
  * sample next to every simulated one, and the bench binaries print
- * sim-vs-PMU side-by-side tables (bench_table2_mpki --hw, etc.).
+ * sim-vs-PMU side-by-side tables (bench_paper --hw fig4 table2 table3).
  *
  * Design:
  *  - Counters are per-thread (pid=0, cpu=-1, no inherit): the main

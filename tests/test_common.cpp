@@ -230,7 +230,6 @@ TEST(TableTest, RenderAlignsColumns)
     std::string s = t.render();
     EXPECT_NE(s.find("stage"), std::string::npos);
     EXPECT_NE(s.find("proving"), std::string::npos);
-    EXPECT_EQ(t.renderCsv(), "stage,value\nsetup,76.1%\nproving,13.4%\n");
 }
 
 TEST(TableTest, Formatters)
