@@ -9,8 +9,9 @@
  * primitive) where the SNARK prover is Montgomery-multiply dominated —
  * the microarchitectural contrast EXPERIMENTS.md §E14 documents.
  *
- * --smoke proves and verifies one small instance per AIR and exits
- * nonzero on any failure (the CI stark-smoke step).
+ * --smoke prints the SHA-256 kernel in use ("sha256: sha_ni" or
+ * "sha256: scalar"), then proves and verifies one small instance per
+ * AIR and exits nonzero on any failure (the CI stark-smoke step).
  *
  * STARK prove/verify timings and proof sizes are perfbench's
  * stark-sweep workload (perfbench/README.md).
@@ -51,6 +52,7 @@ makeAir(const std::string& name, std::size_t steps)
 int
 runSmoke()
 {
+    std::printf("bench_stark --smoke: sha256: %s\n", stark::shaImplName());
     for (const char* name : {"fib", "mimc"}) {
         const auto air = makeAir(name, 64);
         const auto params = benchParams();

@@ -384,11 +384,12 @@ main(int argc, char** argv)
         listening = true;
         gListenFd.store(listen_fd);
         std::printf("zkperfd: serving %s on %s (workers=%zu "
-                    "queue=%zu prove-threads=%zu)\n",
+                    "queue=%zu prove-threads=%zu sha256=%s)\n",
                     circuit_name, socket_path.c_str(),
                     service.config().workers,
                     service.config().queueCapacity,
-                    service.config().proveThreads);
+                    service.config().proveThreads,
+                    stark::shaImplName());
         std::fflush(stdout);
     }
 

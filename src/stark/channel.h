@@ -27,8 +27,10 @@
 #ifndef ZKP_STARK_CHANNEL_H
 #define ZKP_STARK_CHANNEL_H
 
+#include <array>
+#include <cassert>
 #include <cstdint>
-#include <vector>
+#include <cstring>
 
 #include "stark/hash.h"
 
@@ -41,36 +43,35 @@ class Channel
     explicit Channel(u64 label)
     {
         state_.fill(0);
-        absorbTagged(kTagInit, encodeU64(label ^ 0x535441524bULL));
+        absorbU64Tagged(kTagInit, label ^ 0x535441524bULL);
     }
 
     /** Absorb a Merkle root / arbitrary digest. */
     void
     absorbDigest(const Digest& d)
     {
-        absorbTagged(kTagDigest,
-                     std::vector<std::uint8_t>(d.begin(), d.end()));
+        absorbTagged(kTagDigest, d.data(), d.size());
     }
 
     /** Absorb one field element (canonical 8-byte LE). */
     void
     absorbField(const Gl& v)
     {
-        absorbTagged(kTagField, encodeU64(v.value()));
+        absorbU64Tagged(kTagField, v.value());
     }
 
     /** Absorb a raw integer (trace length, parameters, ...). */
     void
     absorbU64(u64 v)
     {
-        absorbTagged(kTagU64, encodeU64(v));
+        absorbU64Tagged(kTagU64, v);
     }
 
     /** Squeeze a Goldilocks challenge (never zero). */
     Gl
     challenge()
     {
-        absorbTagged(kTagSqueeze, encodeU64(++counter_));
+        absorbU64Tagged(kTagSqueeze, ++counter_);
         const Gl c = Gl::fromU64(stateWord(0));
         return c.isZero() ? Gl::one() : c;
     }
@@ -79,7 +80,7 @@ class Channel
     std::size_t
     queryIndex(std::size_t domain)
     {
-        absorbTagged(kTagSqueeze, encodeU64(++counter_));
+        absorbU64Tagged(kTagSqueeze, ++counter_);
         return (std::size_t)(stateWord(0) % (u64)domain);
     }
 
@@ -116,25 +117,44 @@ class Channel
     static constexpr std::uint8_t kTagSqueeze = 0x05;
     static constexpr std::uint8_t kTagPow = 0x06;
 
-    static std::vector<std::uint8_t>
+    /** Largest payload: one digest. */
+    static constexpr std::size_t kMaxPayload = sizeof(Digest);
+
+    /** Canonical 8-byte LE encoding of @p v. */
+    static std::array<std::uint8_t, 8>
     encodeU64(u64 v)
     {
-        std::vector<std::uint8_t> b(8);
+        std::array<std::uint8_t, 8> b{};
         for (std::size_t i = 0; i < 8; ++i)
             b[i] = (std::uint8_t)(v >> (8 * i));
         return b;
     }
 
-    void
-    absorbTagged(std::uint8_t tag,
-                 const std::vector<std::uint8_t>& payload)
+    /** SHA-256(state || tag || payload), built on the stack. */
+    Digest
+    taggedHash(std::uint8_t tag, const std::uint8_t* payload,
+               std::size_t n) const
     {
-        std::vector<std::uint8_t> buf;
-        buf.reserve(33 + payload.size());
-        buf.insert(buf.end(), state_.begin(), state_.end());
-        buf.push_back(tag);
-        buf.insert(buf.end(), payload.begin(), payload.end());
-        state_ = hashBytes(buf.data(), buf.size());
+        assert(n <= kMaxPayload);
+        std::array<std::uint8_t, sizeof(Digest) + 1 + kMaxPayload> buf{};
+        std::memcpy(buf.data(), state_.data(), state_.size());
+        buf[state_.size()] = tag;
+        std::memcpy(buf.data() + state_.size() + 1, payload, n);
+        return hashBytes(buf.data(), state_.size() + 1 + n);
+    }
+
+    void
+    absorbTagged(std::uint8_t tag, const std::uint8_t* payload,
+                 std::size_t n)
+    {
+        state_ = taggedHash(tag, payload, n);
+    }
+
+    void
+    absorbU64Tagged(std::uint8_t tag, u64 v)
+    {
+        const auto b = encodeU64(v);
+        absorbTagged(tag, b.data(), b.size());
     }
 
     /** Big-endian state word @p i (i < 4). */
@@ -151,11 +171,8 @@ class Channel
     bool
     powOk(u64 nonce, unsigned bits) const
     {
-        std::vector<std::uint8_t> buf(state_.begin(), state_.end());
-        buf.push_back(kTagPow);
         const auto nb = encodeU64(nonce);
-        buf.insert(buf.end(), nb.begin(), nb.end());
-        const Digest h = hashBytes(buf.data(), buf.size());
+        const Digest h = taggedHash(kTagPow, nb.data(), nb.size());
         u64 lead = 0;
         for (std::size_t b = 0; b < 8; ++b)
             lead = (lead << 8) | h[b];

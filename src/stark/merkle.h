@@ -14,12 +14,15 @@
  *
  * Leaf hashing parallelizes over rows via the shared pool; the
  * interior fold is level-by-level with the same dispatch threshold
- * idiom the NTT uses (small levels stay serial).
+ * idiom the NTT uses (small levels stay serial). Hashing itself never
+ * allocates (stark/hash.h), so a build makes one allocation per
+ * level, not per row.
  */
 
 #ifndef ZKP_STARK_MERKLE_H
 #define ZKP_STARK_MERKLE_H
 
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <vector>
@@ -54,6 +57,7 @@ class MerkleTree
                "merkle leaf count not 2^k");
         ZKP_TRACE_SCOPE("merkle_build", "n", (obs::u64)n);
         sim::countAlloc(2 * n * sizeof(Digest));
+        levels_.reserve((std::size_t)std::countr_zero(n) + 1);
         levels_.push_back(std::move(leaves));
         while (levels_.back().size() > 1) {
             const auto& prev = levels_.back();

@@ -2,9 +2,11 @@
  * @file
  * STARK backend unit tests: Goldilocks arithmetic against a
  * widening-multiply reference, NTT round-trips over the small field,
- * Merkle commitments, Fiat-Shamir channel determinism, and full
- * prove/verify round-trips for both shipped AIRs including
- * serialization.
+ * the SHA-256 kernels and padding against the reference SHA-256,
+ * Merkle commitments and their allocation count, Fiat-Shamir channel
+ * determinism, full prove/verify round-trips for both shipped AIRs
+ * including serialization, and the simulator's hash counts for one
+ * pinned statement.
  *
  * The negative-path suite (tampered openings, wrong folds, truncated
  * bytes) lives in test_verifier_negative.cpp with the other schemes.
@@ -12,8 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "common/rng.h"
+#include "obs/memprof.h"
 #include "poly/domain.h"
+#include "prop/zkcheck.h"
 #include "stark/air.h"
 #include "stark/channel.h"
 #include "stark/merkle.h"
@@ -94,6 +100,92 @@ TEST(StarkField, NttRoundTrip)
     dom.cosetNtt(v);
     dom.cosetIntt(v);
     EXPECT_EQ(v, orig);
+}
+
+TEST(StarkHash, ShaNiKernelMatchesScalar)
+{
+#ifdef ZKP_STARK_HAVE_SHANI
+    if (!shaNiSupported())
+        GTEST_SKIP() << "CPU lacks the SHA extensions (sha_ni: CPUID "
+                        "leaf 7 EBX bit 29) or SSE4.1";
+    prop::forAll("sha_ni_compress", 10000, [](Rng& rng, std::size_t) {
+        r1cs::Sha256::State s;
+        r1cs::Sha256::Block b;
+        for (auto& x : s)
+            x = (std::uint32_t)rng.next();
+        for (auto& x : b)
+            x = (std::uint32_t)rng.next();
+        ASSERT_EQ(detail::compressShaNi(s, b),
+                  r1cs::Sha256::compress(s, b));
+    });
+#else
+    GTEST_SKIP() << "build has no SHA-NI kernel (not x86-64)";
+#endif
+}
+
+// FIPS 180-4 padding boundaries: 55 bytes is the longest message with
+// room for the 0x80 marker and the length in its last block, 56-63
+// spill into a second block, 64/128 are whole blocks.
+TEST(StarkHash, HashBytesMatchesReferenceAtPaddingBoundaries)
+{
+    Rng rng(12);
+    for (std::size_t n : {0, 1, 55, 56, 63, 64, 65, 119, 120, 128}) {
+        std::vector<std::uint8_t> msg(n);
+        for (auto& b : msg)
+            b = (std::uint8_t)rng.next();
+        EXPECT_EQ(hashBytes(msg.data(), n), r1cs::Sha256::hash(msg))
+            << "length " << n;
+    }
+    auto hex = [](std::string_view m) {
+        return digestHex(hashBytes(
+            reinterpret_cast<const std::uint8_t*>(m.data()), m.size()));
+    };
+    EXPECT_EQ(hex(""), "e3b0c44298fc1c149afbf4c8996fb924"
+                       "27ae41e4649b934ca495991b7852b855");
+    EXPECT_EQ(hex("abc"), "ba7816bf8f01cfea414140de5dae2223"
+                          "b00361a396177a9cb410ff61f20015ad");
+    EXPECT_EQ(hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnop"
+                  "nopq"),
+              "248d6a61d20638b8e5c026930c3e6039"
+              "a33ce45964ff2167f6ecedd419db06c1");
+}
+
+TEST(StarkHash, HashRowIsHashOfLittleEndianBytes)
+{
+    Rng rng(13);
+    for (std::size_t width = 0; width <= 17; ++width) {
+        std::vector<Gl> row(width);
+        std::vector<std::uint8_t> bytes;
+        for (auto& x : row) {
+            x = Gl::random(rng);
+            for (std::size_t b = 0; b < 8; ++b)
+                bytes.push_back((std::uint8_t)(x.value() >> (8 * b)));
+        }
+        EXPECT_EQ(hashRow(row.data(), width),
+                  hashBytes(bytes.data(), bytes.size()))
+            << "width " << width;
+    }
+}
+
+TEST(StarkMerkle, FromRowsAllocatesPerLevelNotPerRow)
+{
+    namespace memprof = obs::memprof;
+    if (!memprof::available())
+        GTEST_SKIP() << memprof::unavailableReason();
+    const std::size_t rows = 1 << 12, width = 2, levels = 13;
+    Rng rng(14);
+    std::vector<Gl> table(rows * width);
+    for (auto& x : table)
+        x = Gl::random(rng);
+    ASSERT_TRUE(memprof::setTracking(true));
+    const auto before = memprof::threadStats();
+    const MerkleTree tree = MerkleTree::fromRows(table.data(), rows, width);
+    const auto after = memprof::threadStats();
+    memprof::setTracking(false);
+    EXPECT_EQ(tree.leafCount(), rows);
+    // One vector per level plus the level index; O(rows) would be
+    // thousands.
+    EXPECT_LE(after.allocCount - before.allocCount, 2 * levels);
 }
 
 TEST(StarkMerkle, OpenVerify)
@@ -217,6 +309,27 @@ TEST(Stark, ProofIsDeterministic)
     const auto a = serializeProof(prove(air, params, 1));
     const auto b = serializeProof(prove(air, params, 2));
     EXPECT_EQ(a, b) << "proof depends on thread count";
+}
+
+// The simulator counts one HashCompress per compression and one
+// HashAbsorb per hashed field element, whichever kernel runs, so the
+// E14 instruction mix does not depend on the host. The values are
+// those the scalar-only, heap-buffered hashing produced; threads = 1
+// keeps every count on this thread.
+TEST(StarkSim, HashCountsArePinned)
+{
+    const MimcAir air(1 << 8, Gl::fromU64(7));
+    sim::drainWorkerCounters();
+    const sim::Counters before = sim::counters();
+    const StarkProof proof = prove(air, StarkParams{}, 1);
+    sim::drainWorkerCounters();
+    const sim::Counters after = sim::counters();
+    auto delta = [&](sim::PrimOp op) {
+        return after.prim[(std::size_t)op] - before.prim[(std::size_t)op];
+    };
+    EXPECT_EQ(delta(sim::PrimOp::HashCompress), 8198u);
+    EXPECT_EQ(delta(sim::PrimOp::HashAbsorb), 3968u);
+    EXPECT_TRUE(verify(air, StarkParams{}, proof));
 }
 
 } // namespace
