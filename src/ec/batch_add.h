@@ -16,32 +16,35 @@
  *
  * Batching changes the schedule, not the math: adds against one bucket
  * must still apply one at a time. The accumulator therefore admits at
- * most one pending add per bucket per flush (a busy flag); conflicting
- * adds wait in a carry queue and re-schedule after the flush.
+ * most one pending bucket add per bucket per flush; the bucket is then
+ * busy. A colliding add is resolved by pairwise tree reduction:
+ *   - the first add that finds its bucket busy parks in the bucket's
+ *     waiting slot (one u32 index per bucket into a waiting list);
+ *   - the next one pairs with the parked point: the two become an
+ *     independent point + point add in the same flush batch, sharing
+ *     its batch inversion and mulBatch passes;
+ *   - after the flush, each pair's sum (unless it is infinity) and
+ *     each still-parked point are scheduled again.
+ * k adds to one bucket thus finish in about k/cap + log2(cap) flushes,
+ * not k: every batch slot does useful work whatever the digit stream.
+ * The waiting list holds at most one point per busy bucket, so it can
+ * never outgrow a batch, and a flush reschedules at most one batch of
+ * points. Only the order of the additions changes, and affine
+ * coordinates are canonical, so every bucket ends bit-identical to a
+ * one-at-a-time accumulation.
  *
- * Random digit streams do not collide rarely: how often they collide
- * depends on how full the batch is relative to the bucket array. A
- * batch as large as the bucket array can never fill, and one half its
- * size fills only after ~0.4 collisions per slot; MSM windows of
- * c <= 12 bits have at most 2048 buckets. If the carried adds could
- * pile up, every flush would rescan all of them: O(n^2) per window.
- * Two rules keep the work linear:
- *   - the batch is sized to a quarter of the bucket count
- *     (batchAffineCap), so a uniformly random stream fills it with
- *     ~cap/8 collisions;
- *   - add() flushes when the batch OR the carry queue reaches the cap,
- *     so the carry queue never holds more than one batch and each
- *     flush's rescan is O(cap).
- * Streams that reach few buckets (an MSM's top window; adversarially,
- * every point into one bucket) degrade to as few adds per flush as
- * they reach buckets, at O(cap) rescan each, but remain correct — the
- * property tests pin the one-bucket case.
+ * The batch is sized to a quarter of the bucket count
+ * (batchAffineCap): a uniformly random digit stream then fills it
+ * with ~cap/8 collisions, so few points wait or pair. A batch as large
+ * as the bucket array could never fill with bucket adds alone.
  *
  * Special cases are resolved at classification time, before the shared
- * inversion, so the denominator array is always invertible:
+ * inversion, so the denominator array is always invertible. Bucket
+ * adds and pair adds share the rules:
  *   - empty bucket: direct store, no field ops at all;
  *   - equal x, equal y (doubling): lambda = 3x^2 / 2y;
- *   - equal x, opposite y (or y = 0): bucket becomes infinity.
+ *   - equal x, opposite y (or y = 0): the sum is infinity (a bucket
+ *     empties, a pair sum is dropped).
  */
 
 #ifndef ZKP_EC_BATCH_ADD_H
@@ -88,7 +91,9 @@ class BatchAffineAdder
     struct Stats
     {
         std::uint64_t flushes = 0;
-        std::uint64_t carry_rescheduled = 0;
+        /// Points scheduled again after a flush: pair sums and parked
+        /// points (at most two per add).
+        std::uint64_t rescheduled = 0;
     };
 
     /** @p max_cap bounds the per-window batch size batchAffineCap
@@ -98,10 +103,6 @@ class BatchAffineAdder
         : max_cap_(max_cap)
     {
         reset(buckets);
-        batch_.reserve(cap_ + 16);
-        den_.reserve(cap_ + 16);
-        num_.reserve(cap_ + 16);
-        app_idx_.reserve(cap_ + 16);
     }
 
     /** Clear all buckets to infinity (reusable across windows) and
@@ -111,12 +112,14 @@ class BatchAffineAdder
     {
         cap_ = batchAffineCap(buckets, max_cap_);
         buckets_.assign(buckets, Affine());
-        busy_.assign(buckets, 0);
-        batch_.clear();
-        carry_.clear();
+        slot_.assign(buckets, kIdle);
+        adds_.clear();
+        pairs_.clear();
+        waiting_.clear();
         tracked_.set("msm.batch_affine",
-                     buckets * (sizeof(Affine) + 1) +
-                         cap_ * (sizeof(Pending) + 2 * sizeof(Field)));
+                     buckets * (sizeof(Affine) + sizeof(std::uint32_t)) +
+                         cap_ * (2 * sizeof(Pending) + sizeof(Pair) +
+                                 3 * sizeof(Field)));
     }
 
     /**
@@ -126,7 +129,7 @@ class BatchAffineAdder
     bool
     occupied(std::size_t bucket) const
     {
-        return busy_[bucket] != 0 || !buckets_[bucket].infinity;
+        return slot_[bucket] != kIdle || !buckets_[bucket].infinity;
     }
 
     /** Schedule buckets[bucket] += p (p == infinity is a no-op). */
@@ -136,7 +139,7 @@ class BatchAffineAdder
         if (p.infinity)
             return;
         schedule((std::uint32_t)bucket, p);
-        while (batch_.size() >= cap_ || carry_.size() >= cap_)
+        while (batchSize() >= cap_)
             flushOnce();
     }
 
@@ -144,7 +147,8 @@ class BatchAffineAdder
     void
     flush()
     {
-        while (!batch_.empty() || !carry_.empty())
+        // A parked point implies a busy bucket, hence a batch entry.
+        while (batchSize() != 0)
             flushOnce();
     }
 
@@ -154,8 +158,8 @@ class BatchAffineAdder
     /** Flush batch size chosen by the last reset(). */
     std::size_t batchCap() const { return cap_; }
 
-    /** Adds waiting for a busy bucket; below batchCap() after add(). */
-    std::size_t carrySize() const { return carry_.size(); }
+    /** Points parked for a busy bucket; at most batchCap(). */
+    std::size_t waitingSize() const { return waiting_.size(); }
 
     const Stats& stats() const { return stats_; }
 
@@ -173,88 +177,130 @@ class BatchAffineAdder
     {
 #if defined(__GNUC__) || defined(__clang__)
         __builtin_prefetch(&buckets_[bucket], 1, 1);
-        __builtin_prefetch(&busy_[bucket], 1, 1);
+        __builtin_prefetch(&slot_[bucket], 1, 1);
 #endif
     }
 
   private:
+    /// slot_ values other than an index into waiting_.
+    static constexpr std::uint32_t kIdle = 0xffffffffu; ///< no add pending
+    static constexpr std::uint32_t kBusy = 0xfffffffeu; ///< none parked
+
     struct Pending
     {
         std::uint32_t bucket;
         Affine pt;
     };
 
+    /** Two points bound for one bucket; the sum lands in a. */
+    struct Pair
+    {
+        std::uint32_t bucket;
+        Affine a, b;
+    };
+
+    /** One add of the flush: lhs += rhs. */
+    struct Apply
+    {
+        Affine* lhs;
+        const Affine* rhs;
+    };
+
+    std::size_t batchSize() const { return adds_.size() + pairs_.size(); }
+
     void
     schedule(std::uint32_t bucket, const Affine& p)
     {
-        if (busy_[bucket]) {
-            carry_.push_back({bucket, p});
-            return;
+        std::uint32_t& slot = slot_[bucket];
+        if (slot == kIdle) {
+            Affine& b = buckets_[bucket];
+            if (b.infinity) {
+                // No pending add can exist for an idle bucket, so the
+                // store is unordered with everything in flight.
+                b = p;
+                return;
+            }
+            slot = kBusy;
+            adds_.push_back({bucket, p});
+        } else if (slot == kBusy) {
+            slot = (std::uint32_t)waiting_.size();
+            waiting_.push_back({bucket, p});
+        } else {
+            // Pair with the parked point and free its waiting entry;
+            // the list's last entry moves into the hole.
+            pairs_.push_back({bucket, waiting_[slot].pt, p});
+            if (slot + 1 != waiting_.size()) {
+                waiting_[slot] = waiting_.back();
+                slot_[waiting_[slot].bucket] = slot;
+            }
+            waiting_.pop_back();
+            slot = kBusy;
         }
-        Affine& b = buckets_[bucket];
-        if (b.infinity) {
-            // No pending add can exist for a non-busy bucket, so the
-            // store is unordered with everything in flight.
-            b = p;
-            return;
-        }
-        busy_[bucket] = 1;
-        batch_.push_back({bucket, p});
     }
 
-    /** Apply the batch, then move carried adds back into the (now
-     *  conflict-free) batch. */
+    /** Apply the batch, then schedule the pair sums and the parked
+     *  points again (parked first, so each takes its now idle bucket
+     *  and never waits twice). */
     void
     flushOnce()
     {
         static obs::Counter& flushes = obs::counter("msm.batch_flushes");
         static obs::Counter& rescheduled =
-            obs::counter("msm.carry_rescheduled");
+            obs::counter("msm.batch_rescheduled");
         applyBatch();
-        carried_.clear();
-        carried_.swap(carry_);
-        for (const Pending& e : carried_)
+        adds_.clear();
+        again_.swap(waiting_);
+        for (const Pair& q : pairs_)
+            if (!q.a.infinity)
+                again_.push_back({q.bucket, q.a});
+        pairs_.clear();
+        for (const Pending& e : again_)
             schedule(e.bucket, e.pt);
         ++stats_.flushes;
-        stats_.carry_rescheduled += carried_.size();
+        stats_.rescheduled += again_.size();
         flushes.add();
-        rescheduled.add(carried_.size());
+        rescheduled.add(again_.size());
+        again_.clear();
     }
 
+    /** Stage lhs += rhs for the shared inversion, or resolve it now
+     *  when the denominator would vanish. */
+    void
+    classify(Affine& lhs, const Affine& rhs)
+    {
+        if (lhs.x != rhs.x) {
+            den_.push_back(rhs.x - lhs.x);
+            num_.push_back(rhs.y - lhs.y);
+            app_.push_back({&lhs, &rhs});
+        } else if (lhs.y == rhs.y && !lhs.y.isZero()) {
+            // Tangent: lambda = 3x^2 / 2y.
+            const Field xx = lhs.x.squared();
+            den_.push_back(lhs.y.doubled());
+            num_.push_back(xx.doubled() + xx);
+            app_.push_back({&lhs, &rhs});
+        } else {
+            lhs = Affine(); // P + (-P), or doubling a y = 0 point
+        }
+    }
+
+    /** Apply every bucket add and pair add and mark the buckets idle;
+     *  pair sums are left in Pair::a. */
     void
     applyBatch()
     {
-        if (batch_.empty())
-            return;
-
         den_.clear();
         num_.clear();
-        app_idx_.clear();
-        for (std::uint32_t i = 0; i < (std::uint32_t)batch_.size();
-             ++i) {
-            const Pending& e = batch_[i];
-            busy_[e.bucket] = 0;
-            Affine& b = buckets_[e.bucket]; // never infinity here
-            if (b.x != e.pt.x) {
-                den_.push_back(e.pt.x - b.x);
-                num_.push_back(e.pt.y - b.y);
-                app_idx_.push_back(i);
-            } else if (b.y == e.pt.y && !b.y.isZero()) {
-                // Tangent: lambda = 3x^2 / 2y.
-                const Field xx = b.x.squared();
-                den_.push_back(b.y.doubled());
-                num_.push_back(xx.doubled() + xx);
-                app_idx_.push_back(i);
-            } else {
-                b = Affine(); // P + (-P), or doubling a y = 0 point
-            }
+        app_.clear();
+        for (const Pending& e : adds_) {
+            slot_[e.bucket] = kIdle;
+            classify(buckets_[e.bucket], e.pt); // bucket never infinity
         }
+        for (Pair& q : pairs_)
+            classify(q.a, q.b);
 
-        const std::size_t m = app_idx_.size();
-        if (m == 0) {
-            batch_.clear();
+        const std::size_t m = app_.size();
+        if (m == 0)
             return;
-        }
         ff::batchInverse(den_.data(), m);
 
         // lambda = num / den; reuse den for lambda, then num for
@@ -263,27 +309,27 @@ class BatchAffineAdder
         ff::mulBatch(num_.data(), den_.data(), den_.data(), m);
         t_.resize(m);
         for (std::size_t i = 0; i < m; ++i) {
-            const Pending& e = batch_[app_idx_[i]];
-            Affine& b = buckets_[e.bucket];
-            const Field x3 = num_[i] - b.x - e.pt.x;
-            t_[i] = b.x - x3;
-            b.x = x3;
+            Affine& l = *app_[i].lhs;
+            const Field x3 = num_[i] - l.x - app_[i].rhs->x;
+            t_[i] = l.x - x3;
+            l.x = x3;
         }
         ff::mulBatch(t_.data(), den_.data(), t_.data(), m);
         for (std::size_t i = 0; i < m; ++i) {
-            Affine& b = buckets_[batch_[app_idx_[i]].bucket];
-            b.y = t_[i] - b.y;
+            Affine& l = *app_[i].lhs;
+            l.y = t_[i] - l.y;
         }
-        batch_.clear();
     }
 
     std::size_t max_cap_;
     std::size_t cap_ = 0;
     Stats stats_;
     std::vector<Affine> buckets_;
-    std::vector<std::uint8_t> busy_;
-    std::vector<Pending> batch_, carry_, carried_;
-    std::vector<std::uint32_t> app_idx_;
+    /// Per bucket: kIdle, kBusy, or the index of its parked point.
+    std::vector<std::uint32_t> slot_;
+    std::vector<Pending> adds_, waiting_, again_;
+    std::vector<Pair> pairs_;
+    std::vector<Apply> app_;
     std::vector<Field> den_, num_, t_;
     /// Scratch footprint account ("msm.batch_affine").
     obs::memprof::TrackedBytes tracked_;

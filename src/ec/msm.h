@@ -25,7 +25,9 @@
  *    inversion, cutting the per-add cost from ~16 Jacobian muls to
  *    ~6 and routing the multiplies through the dispatched SIMD
  *    ff::mulBatch kernels. Each flush batch is sized to the window's
- *    bucket count, and the window model charges its inversion;
+ *    bucket count, and the window model charges its inversion.
+ *    Adds that collide on a bucket pair up within the batch, so the
+ *    cost does not depend on how the digits are distributed;
  *  - scalars are HALVED by the GLV endomorphism where the curve
  *    admits one (msmCurve / msmGlv): k = k1 + lambda*k2 with
  *    |k1|,|k2| ~ sqrt(r) turns n full-width scalars into 2n
@@ -90,20 +92,18 @@ constexpr double kMsmFlushMuls = 400.0;
  * muls, the running-sum fold pays ~27 muls (one Jacobian mixed add
  * plus one full add) per bucket, and every flush pays one inversion
  * (kMsmFlushMuls). A window of 2^(c-1) buckets flushes every
- * batchAffineCap(2^(c-1)) adds; the top window holds only the
- * t = max_bits mod c leftover bits, so its batch holds at most 2^t
- * distinct buckets. For window width c:
+ * batchAffineCap(2^(c-1)) adds, however few buckets its digits reach
+ * (colliding adds pair up within a batch; see BatchAffineAdder). For
+ * window width c:
  *
- *   cost(c) = windows(c) * (n * 6 + 2^(c-1) * 27)
- *           + (windows(c) - 1) * n / batchAffineCap(2^(c-1)) * INV
- *           + n / min(batchAffineCap(2^(c-1)), 2^t) * INV,
+ *   cost(c) = windows(c) * (n * 6 + 2^(c-1) * 27
+ *                           + n / batchAffineCap(2^(c-1)) * INV),
  *   windows(c) = max_bits / c + 1.
  *
  * Minimizing this directly adapts the window to the scalar width —
  * essential once GLV halves max_bits — and grows c monotonically
- * with n. The flush terms keep small MSMs off narrow windows, whose
- * small batches would spend more on inversions than on adds, and
- * steer clear of widths whose top window only a few buckets share.
+ * with n. The flush term keeps small MSMs off narrow windows, whose
+ * small batches would spend more on inversions than on adds.
  */
 inline unsigned
 msmWindowBits(std::size_t n, std::size_t max_bits = 256)
@@ -113,15 +113,11 @@ msmWindowBits(std::size_t n, std::size_t max_bits = 256)
     for (unsigned c = 1; c <= 16; ++c) {
         const std::size_t buckets = std::size_t(1) << (c - 1);
         const std::size_t windows = max_bits / c + 1;
-        const std::size_t cap = batchAffineCap(buckets);
-        const std::size_t top_distinct = std::size_t(1) << (max_bits % c);
-        const double flushes =
-            (double)(windows - 1) * (double)n / (double)cap +
-            (double)n / (double)std::min(cap, top_distinct);
+        const double flushes_per_window =
+            (double)n / (double)batchAffineCap(buckets);
         const double cost =
-            (double)windows *
-                ((double)n * 6.0 + (double)buckets * 27.0) +
-            flushes * kMsmFlushMuls;
+            (double)windows * ((double)n * 6.0 + (double)buckets * 27.0 +
+                               flushes_per_window * kMsmFlushMuls);
         if (c == 1 || cost < best_cost) {
             best_cost = cost;
             best_c = c;
@@ -326,19 +322,14 @@ msmWindowParallel(const Affine* points, const ScalarRepr* scalars,
                     });
     }
 
-    // Workers claim windows top first: the top window's few distinct
-    // digits collide on most adds, making it the slowest, and claimed
-    // last it would leave one worker finishing it alone.
     parallelFor(windows, threads,
-                [&](std::size_t, std::size_t ib, std::size_t ie) {
+                [&](std::size_t, std::size_t wb, std::size_t we) {
                     BatchAffineAdder<typename Affine::FieldT> acc(
                         std::size_t(1) << (c - 1));
-                    for (std::size_t i = ib; i < ie; ++i) {
-                        const std::size_t w = windows - 1 - i;
+                    for (std::size_t w = wb; w < we; ++w)
                         window_sums[w] = msmWindowSum<Point>(
                             points, scalars, biased.data(), n,
                             (unsigned)w, c, acc);
-                    }
                 });
 
     Point result = Point::infinity();

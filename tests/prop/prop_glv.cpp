@@ -8,10 +8,12 @@
  * These suites pin (a) the decomposition congruence itself on the
  * adversarial scalar set {0, 1, r-1, lambda, r-lambda} plus random
  * values, (b) end-to-end MSM-with-endomorphism against the naive
- * double-and-add reference, and (c) the batch-affine bucket adder
- * against Jacobian accumulation under adversarial bucket collisions
- * (every scheduling path: direct store, chord, tangent, P + (-P),
- * carry queue, mid-stream flush).
+ * double-and-add reference, also over degenerate scalar distributions
+ * (all equal, all one, binary, sparse, few distinct values) that pile
+ * every add of a window into a few buckets, and (c) the batch-affine
+ * bucket adder against Jacobian accumulation under adversarial bucket
+ * collisions (every scheduling path: direct store, chord, tangent,
+ * P + (-P), parked and paired colliding adds, mid-stream flush).
  */
 
 #include <gtest/gtest.h>
@@ -149,6 +151,113 @@ TYPED_TEST(GlvLaws, MsmCurveDispatchesGlvAboveFloor)
 }
 
 // ---------------------------------------------------------------------
+// MSM over degenerate scalar distributions
+// ---------------------------------------------------------------------
+
+template <typename G>
+class MsmDistributions : public ::testing::Test
+{
+};
+
+// G1 of both curves takes the GLV path; G2 runs full-width scalars.
+using MsmGroups = ::testing::Types<ec::Bn254G1, ec::Bn254G2, ec::Bls381G1>;
+TYPED_TEST_SUITE(MsmDistributions, MsmGroups);
+
+enum class ScalarDist
+{
+    Random,
+    AllEqual,
+    AllOne,
+    Binary,
+    Sparse, ///< 90% zero
+    FewValues, ///< at most 8 distinct values
+};
+
+template <typename Fr>
+std::vector<Fr>
+genScalars(Rng& rng, ScalarDist dist, std::size_t n)
+{
+    std::vector<Fr> few{Fr::zero(), Fr::one(), -Fr::one()};
+    while (few.size() < 8)
+        few.push_back(Fr::random(rng));
+    const Fr k = Fr::random(rng);
+    std::vector<Fr> out(n);
+    for (Fr& s : out) {
+        switch (dist) {
+        case ScalarDist::Random: s = Fr::random(rng); break;
+        case ScalarDist::AllEqual: s = k; break;
+        case ScalarDist::AllOne: s = Fr::one(); break;
+        case ScalarDist::Binary:
+            s = rng.nextBool() ? Fr::one() : Fr::zero();
+            break;
+        case ScalarDist::Sparse:
+            s = rng.nextBelow(10) == 0 ? Fr::random(rng) : Fr::zero();
+            break;
+        case ScalarDist::FewValues: s = few[rng.nextBelow(8)]; break;
+        }
+    }
+    return out;
+}
+
+// msmCurve against msmNaive when the scalars are not random: all
+// equal and all one put every add of a window into one or two
+// buckets, binary and sparse leave most digits zero, few values reach
+// a handful of buckets. The points are drawn with repeats from a small
+// pool holding each point's negation (and infinity), so colliding
+// adds and their pair sums hit P + P and P + (-P). The sizes reach the
+// GLV split, input chunking (1 thread) and window parallelism
+// (4 threads). msmNaive runs over the same terms grouped by point
+// (each pool point times the sum of its scalars), which is the same
+// group element at a fraction of the double-and-add cost.
+TYPED_TEST(MsmDistributions, MsmCurveMatchesNaive)
+{
+    using G = TypeParam;
+    using Fr = typename G::Scalar;
+    using Aff = typename G::Affine;
+    using Jac = typename G::Jacobian;
+
+    forAll("msm_scalar_distributions", 2, [&](Rng& rng, std::size_t) {
+        std::vector<Aff> pool{Aff()};
+        for (std::size_t i = 0; i < 12; ++i) {
+            pool.push_back(genPoint<G>(rng));
+            pool.push_back(pool.back().negated());
+        }
+        for (std::size_t n : {ec::kMsmGlvMin + 1 + rng.nextBelow(256),
+                              std::size_t(4096) + rng.nextBelow(64)}) {
+            std::vector<std::size_t> pick(n);
+            std::vector<Aff> pts(n);
+            for (std::size_t i = 0; i < n; ++i) {
+                pick[i] = rng.nextBelow(pool.size());
+                pts[i] = pool[pick[i]];
+            }
+            for (ScalarDist dist :
+                 {ScalarDist::Random, ScalarDist::AllEqual,
+                  ScalarDist::AllOne, ScalarDist::Binary,
+                  ScalarDist::Sparse, ScalarDist::FewValues}) {
+                const auto scalars = genScalars<Fr>(rng, dist, n);
+                std::vector<Fr> grouped(pool.size(), Fr::zero());
+                std::vector<typename Fr::Repr> repr(n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    grouped[pick[i]] += scalars[i];
+                    repr[i] = scalars[i].toBigInt();
+                }
+                std::vector<typename Fr::Repr> grouped_repr;
+                for (const Fr& s : grouped)
+                    grouped_repr.push_back(s.toBigInt());
+                const Jac naive = ec::msmNaive<Jac>(
+                    pool.data(), grouped_repr.data(), pool.size());
+                for (std::size_t threads : {1, 4})
+                    EXPECT_EQ(ec::msmCurve<G>(pts.data(), repr.data(), n,
+                                              threads),
+                              naive)
+                        << "distribution " << (int)dist << ", " << n
+                        << " points, " << threads << " threads";
+            }
+        }
+    });
+}
+
+// ---------------------------------------------------------------------
 // Batch-affine accumulator vs Jacobian reference under collisions
 // ---------------------------------------------------------------------
 
@@ -171,8 +280,8 @@ TYPED_TEST(GlvLaws, BatchAffineMatchesJacobianUnderCollisions)
         }
 
         const std::size_t buckets = 4;
-        // Tiny batch cap: forces many mid-stream flushes and keeps the
-        // carry queue busy.
+        // Tiny batch cap: forces many mid-stream flushes and keeps
+        // colliding adds parked and paired.
         ec::BatchAffineAdder<Field> acc(buckets, 4);
         acc.reset(buckets);
         std::vector<Jac> ref(buckets);
@@ -180,7 +289,7 @@ TYPED_TEST(GlvLaws, BatchAffineMatchesJacobianUnderCollisions)
         const std::size_t adds = 48 + rng.nextBelow(48);
         for (std::size_t i = 0; i < adds; ++i) {
             // Heavily biased toward one bucket: the adversarial
-            // stream the carry queue exists for.
+            // stream that pairs colliding adds.
             const std::size_t b =
                 rng.nextBool() ? 0 : rng.nextBelow(buckets);
             const Aff& p = pool[rng.nextBelow(pool.size())];
@@ -210,7 +319,7 @@ TYPED_TEST(GlvLaws, BatchAffineSingleBucketWorstCase)
             Aff p = g.mulScalar(rng.nextBelow(8) + 1).toAffine();
             if (rng.nextBool())
                 p = p.negated();
-            acc.add(0, p); // every add collides: one apply per flush
+            acc.add(0, p); // every add after the first collides
             ref = ref.addMixed(p);
         }
         acc.flush();

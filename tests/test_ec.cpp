@@ -3,12 +3,15 @@
  * Group-law, scalar-multiplication and MSM tests for all four groups.
  */
 
+#include <bit>
+
 #include <gtest/gtest.h>
 
 #include "common/bignum.h"
 #include "common/rng.h"
 #include "ec/groups.h"
 #include "ec/msm.h"
+#include "obs/metrics.h"
 
 namespace zkp::ec {
 namespace {
@@ -215,11 +218,11 @@ distinctPoints(std::size_t n)
     return batchToAffine(jac);
 }
 
-// A uniformly random digit stream, 32 adds per bucket. The carry queue
-// must never outgrow one batch, and a batch sized to the bucket count
-// fills with few collisions, so few carried adds are rescheduled; a
-// batch that cannot fill would leave each flush rescanning O(n) adds.
-TEST(BatchAffine, RandomStreamKeepsCarryBounded)
+// A uniformly random digit stream, 32 adds per bucket. The waiting
+// list (points parked for a busy bucket) must never outgrow one batch,
+// and a batch sized to the bucket count fills with few collisions, so
+// few points are rescheduled after a flush.
+TEST(BatchAffine, RandomStreamKeepsWaitingBounded)
 {
     using G = Bn254G1;
     using J = G::Jacobian;
@@ -238,11 +241,11 @@ TEST(BatchAffine, RandomStreamKeepsCarryBounded)
                 p = p.negated();
             acc.add(b, p);
             ref[b] = ref[b].addMixed(p);
-            ASSERT_LE(acc.carrySize(), acc.batchCap())
+            ASSERT_LE(acc.waitingSize(), acc.batchCap())
                 << buckets << " buckets, add " << i;
         }
         acc.flush();
-        EXPECT_LE(acc.stats().carry_rescheduled, 4 * adds)
+        EXPECT_LE(acc.stats().rescheduled, 4 * adds)
             << buckets << " buckets";
         for (std::size_t b = 0; b < buckets; ++b)
             ASSERT_EQ(J{acc.buckets()[b]}, ref[b])
@@ -252,8 +255,8 @@ TEST(BatchAffine, RandomStreamKeepsCarryBounded)
 
 // The top window of an MSM holds only the scalar's leftover high bits,
 // so its digits reach a handful of buckets and almost every add
-// collides. The carry queue must stay bounded there too.
-TEST(BatchAffine, NarrowStreamKeepsCarryBounded)
+// collides. The waiting list must stay bounded there too.
+TEST(BatchAffine, NarrowStreamKeepsWaitingBounded)
 {
     using G = Bn254G1;
     using J = G::Jacobian;
@@ -267,11 +270,83 @@ TEST(BatchAffine, NarrowStreamKeepsCarryBounded)
         const G::Affine& p = pool[rng.nextBelow(pool.size())];
         acc.add(b, p);
         ref[b] = ref[b].addMixed(p);
-        ASSERT_LE(acc.carrySize(), acc.batchCap()) << "add " << i;
+        ASSERT_LE(acc.waitingSize(), acc.batchCap()) << "add " << i;
     }
     acc.flush();
     for (std::size_t b = 0; b < buckets; ++b)
         ASSERT_EQ(J{acc.buckets()[b]}, ref[b]) << "bucket " << b;
+}
+
+// Every add of the stream targets one bucket, as in a window of an MSM
+// whose scalars are all equal. Colliding adds pair up inside a batch,
+// so the adder still flushes about once per batchCap() adds, plus
+// log2(batchCap()) flushes to reduce the last batch; it must not fall
+// back to one flush (and one field inversion) per add.
+TEST(BatchAffine, OneBucketStreamFlushesPerBatch)
+{
+    using G = Bn254G1;
+    using J = G::Jacobian;
+    const std::size_t n = std::size_t(1) << 12;
+    const auto distinct = distinctPoints(n);
+    const std::vector<G::Affine> equal(n, distinct[0]);
+
+    for (const auto* pts : {&equal, &distinct}) {
+        for (std::size_t buckets : {1, 64, 2048}) {
+            BatchAffineAdder<G::Field> acc(buckets);
+            const std::size_t bucket = buckets / 2;
+            J ref;
+            for (const G::Affine& p : *pts) {
+                acc.add(bucket, p);
+                ref = ref.addMixed(p);
+            }
+            acc.flush();
+            const std::size_t cap = acc.batchCap();
+            EXPECT_LE(acc.stats().flushes,
+                      2 * n / cap + (std::bit_width(cap) - 1) + 2)
+                << buckets << " buckets, batch " << cap
+                << (pts == &equal ? ", equal points" : ", distinct");
+            EXPECT_EQ(J{acc.buckets()[bucket]}, ref);
+        }
+    }
+}
+
+// msmCurve over all-equal and all-one scalars: every window's digits
+// reach one or two buckets. The msm.batch_flushes counter must still
+// grow by O(n / batch) per window (the bound of the test above), and
+// the result must be the plain sum.
+TEST(BatchAffine, DegenerateScalarsFlushPerBatch)
+{
+    using G = Bn254G1;
+    using J = G::Jacobian;
+    using Repr = G::Scalar::Repr;
+    const std::size_t n = std::size_t(1) << 12;
+    const auto points = distinctPoints(n);
+    J sum;
+    for (const auto& p : points)
+        sum = sum.addMixed(p);
+
+    // The GLV path runs 2n half-width scalars.
+    const std::size_t half = Glv<G>::instance().halfBits();
+    ASSERT_TRUE(Glv<G>::instance().usable());
+    const unsigned c = msmWindowBits(2 * n, half);
+    const std::size_t windows = half / c + 1;
+    const std::size_t cap = batchAffineCap(std::size_t(1) << (c - 1));
+    const std::size_t per_window =
+        2 * (2 * n) / cap + (std::bit_width(cap) - 1) + 2;
+
+    Rng rng(34);
+    const Repr k = G::Scalar::random(rng).toBigInt();
+    obs::Counter& flushes = obs::counter("msm.batch_flushes");
+    for (const Repr& s : {k, Repr(1)}) {
+        const std::vector<Repr> scalars(n, s);
+        const std::uint64_t before = flushes.value();
+        const J got = msmCurve<G>(points.data(), scalars.data(), n, 1);
+        const std::uint64_t delta = flushes.value() - before;
+        EXPECT_LE(delta, windows * per_window)
+            << "scalar " << (s == k ? "k" : "1") << ": c = " << c << ", "
+            << windows << " windows, batch " << cap;
+        EXPECT_EQ(got, sum.mulScalar(s));
+    }
 }
 
 TEST(MsmGlv, MatchesPlainMsmAcrossThreads)
