@@ -12,8 +12,9 @@
  *   (default)       full sweep at each entry's default scale
  *   --list          print the catalog (name, family, scale meaning,
  *                   default scale, constraint model) and exit
- *   --smoke         tiny-scale Groth16 prove/verify of every entry on
- *                   bn254; exits nonzero on any failure (CI gate)
+ *   --smoke         name the field-multiply tier, then a tiny-scale
+ *                   Groth16 prove/verify of every entry on bn254;
+ *                   exits nonzero on any failure (CI gate)
  *   --full          also run PlonK for entries whose lowering exceeds
  *                   the default gate budget (SHA-256: ~114k gates and
  *                   a ~520k-point SRS — minutes of single-core work)
@@ -26,6 +27,7 @@
 
 #include "bench_util.h"
 #include "common/timer.h"
+#include "ff/dispatch.h"
 #include "r1cs/witness.h"
 #include "r1cs/zoo.h"
 #include "snark/groth16.h"
@@ -151,6 +153,7 @@ smoke()
 {
     using Curve = snark::Bn254;
     using Fr = Curve::Fr;
+    std::printf("bench_circuits --smoke: mul: %s\n", ff::mulImplName());
     int failures = 0;
     for (const auto& e : r1cs::zoo::all<Fr>()) {
         const std::size_t scale =

@@ -10,7 +10,7 @@
  * inversion amortizes away under Montgomery's batch-inversion trick:
  * ~3 muls for the shared inversion plus 3 muls of formula per add,
  * all of them in contiguous arrays that route through the dispatched
- * ff::mulBatch kernels (interleaved / AVX-512 IFMA). This is the
+ * ff::mulBatch kernel (AVX-512 IFMA where available). This is the
  * "batch-affine" structure ZKProphet and SZKP identify as the bucket
  * accumulator of choice.
  *

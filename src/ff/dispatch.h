@@ -1,26 +1,21 @@
 /**
  * @file
- * Runtime CPU dispatch for the vector/interleaved field-multiply
- * kernels.
+ * Runtime CPU dispatch for the batched field-multiply kernel.
  *
- * The ff layer carries up to three implementations of the batched
- * Montgomery multiply (ff/fp.h mulBatch):
+ * The ff layer carries two implementations of the batched Montgomery
+ * multiply (ff/fp.h mulBatch):
  *
- *   - kScalar       one CIOS multiply per element (the reference path,
- *                   identical to operator*);
- *   - kInterleaved  four independent CIOS state machines advanced in
- *                   one loop body, hiding the per-product carry-chain
- *                   latency behind instruction-level parallelism;
- *   - kIfma         AVX-512 IFMA (vpmadd52) radix-52 CIOS, eight
- *                   products per call, for 4-limb (<= 256-bit) fields
- *                   on CPUs that expose avx512ifma + avx512vl.
+ *   - kScalar  one CIOS multiply per element (the reference path,
+ *              identical to operator*), for every field and for the
+ *              tails of IFMA batches;
+ *   - kIfma    AVX-512 IFMA (vpmadd52) radix-52 CIOS, eight products
+ *              per call, for 4-limb (<= 256-bit) fields on CPUs that
+ *              expose avx512ifma + avx512vl.
  *
  * The choice is made once per process from CPUID, and can be forced
  * down to the scalar reference with ZKP_FF_FORCE_SCALAR=1 (CI runs the
  * sanitizer jobs this way so both sides of every dispatch stay
- * exercised). ZKP_FF_FORCE_INTERLEAVED=1 pins the interleaved path on
- * IFMA machines, which is how bench_primitives measures the tiers
- * against each other.
+ * exercised).
  */
 
 #ifndef ZKP_FF_DISPATCH_H
@@ -38,7 +33,6 @@ namespace zkp::ff {
 enum class MulImpl
 {
     kScalar,
-    kInterleaved,
     kIfma,
 };
 
@@ -66,12 +60,7 @@ detectMulImpl()
     const char* force = std::getenv("ZKP_FF_FORCE_SCALAR");
     if (force && force[0] == '1')
         return MulImpl::kScalar;
-    const char* inter = std::getenv("ZKP_FF_FORCE_INTERLEAVED");
-    if (inter && inter[0] == '1')
-        return MulImpl::kInterleaved;
-    if (ifmaSupported())
-        return MulImpl::kIfma;
-    return MulImpl::kInterleaved;
+    return ifmaSupported() ? MulImpl::kIfma : MulImpl::kScalar;
 }
 
 } // namespace detail
@@ -91,8 +80,6 @@ mulImplName()
     switch (mulImpl()) {
     case MulImpl::kScalar:
         return "scalar";
-    case MulImpl::kInterleaved:
-        return "interleaved4";
     case MulImpl::kIfma:
         return "avx512ifma";
     }

@@ -382,38 +382,34 @@ class Fp
     /**
      * Batched multiply: out[i] = a[i] * b[i] for i < n.
      *
-     * Dispatches once per process (ff/dispatch.h): the AVX-512 IFMA
-     * radix-52 kernel in blocks of eight where the CPU supports it,
-     * otherwise the 4-way interleaved CIOS, with the scalar CIOS
-     * covering the tail (and the whole batch under
-     * ZKP_FF_FORCE_SCALAR=1). All paths return identical limbs.
-     * In-place use (out == a or out == b) is allowed: each block is
-     * fully read before any of its outputs are written.
+     * Dispatches once per process (ff/dispatch.h): for 4-limb fields
+     * on CPUs with AVX-512 IFMA, the radix-52 kernel in blocks of
+     * eight; the scalar CIOS for every other field, for the tail, and
+     * for the whole batch under ZKP_FF_FORCE_SCALAR=1. Both paths
+     * return identical limbs. In-place use (out == a and/or
+     * out == b) is allowed: each block is fully read before any of
+     * its outputs are written.
      *
-     * @param impl override the process-wide dispatch (tests and
-     *             bench_primitives compare the tiers this way; kIfma
-     *             requires ff::ifmaSupported())
+     * @param impl override the process-wide dispatch (the tests
+     *             compare the tiers this way; kIfma requires
+     *             ff::ifmaSupported())
      */
     static void
     mulBatch(Fp* out, const Fp* a, const Fp* b, std::size_t n,
-             MulImpl impl = mulImpl())
+             [[maybe_unused]] MulImpl impl = mulImpl())
     {
         sim::count(sim::PrimOp::FieldMul, N, n);
         std::size_t i = 0;
-        if (impl != MulImpl::kScalar) {
 #if ZKP_FF_HAVE_IFMA
-            if constexpr (N == 4) {
-                if (impl == MulImpl::kIfma)
-                    for (; i + 8 <= n; i += 8)
-                        ifma::montMul8x256(out[i].v_.limbs.data(),
-                                           a[i].v_.limbs.data(),
-                                           b[i].v_.limbs.data(),
-                                           kModulus.limbs.data(), kN0);
-            }
-#endif
-            for (; i + 4 <= n; i += 4)
-                montMulInterleaved<4>(out + i, a + i, b + i);
+        if constexpr (N == 4) {
+            if (impl == MulImpl::kIfma)
+                for (; i + 8 <= n; i += 8)
+                    ifma::montMul8x256(out[i].v_.limbs.data(),
+                                       a[i].v_.limbs.data(),
+                                       b[i].v_.limbs.data(),
+                                       kModulus.limbs.data(), kN0);
         }
+#endif
         for (; i < n; ++i)
             out[i].v_ = montMul(a[i].v_, b[i].v_);
     }
@@ -451,54 +447,6 @@ class Fp
         if (t[N] || r >= kModulus)
             r.subInPlace(kModulus);
         return r;
-    }
-
-    /**
-     * K-way interleaved CIOS: K independent products advanced
-     * limb-by-limb in one loop body. Each product's carry chain is
-     * serial, but the K chains are independent, so splitting every
-     * round into a K-wide lane loop lets the out-of-order core overlap
-     * them instead of stalling on one chain's latency.
-     */
-    template <std::size_t K>
-    static void
-    montMulInterleaved(Fp* out, const Fp* a, const Fp* b)
-    {
-        u64 t[K][N + 2] = {};
-        for (std::size_t i = 0; i < N; ++i) {
-            for (std::size_t l = 0; l < K; ++l) {
-                u64* tl = t[l];
-                const u64 ai = a[l].v_.limbs[i];
-                u64 carry = 0;
-                for (std::size_t j = 0; j < N; ++j)
-                    tl[j] = mulAdd2(ai, b[l].v_.limbs[j], tl[j],
-                                    carry, carry);
-                u64 c2 = 0;
-                tl[N] = addCarry(tl[N], carry, c2);
-                tl[N + 1] += c2;
-            }
-            for (std::size_t l = 0; l < K; ++l) {
-                u64* tl = t[l];
-                const u64 m = tl[0] * kN0;
-                u64 carry = 0;
-                (void)mulAdd2(m, kModulus.limbs[0], tl[0], carry, carry);
-                for (std::size_t j = 1; j < N; ++j)
-                    tl[j - 1] = mulAdd2(m, kModulus.limbs[j], tl[j],
-                                        carry, carry);
-                u64 c2 = 0;
-                tl[N - 1] = addCarry(tl[N], carry, c2);
-                tl[N] = tl[N + 1] + c2;
-                tl[N + 1] = 0;
-            }
-        }
-        for (std::size_t l = 0; l < K; ++l) {
-            Repr r;
-            for (std::size_t i = 0; i < N; ++i)
-                r.limbs[i] = t[l][i];
-            if (t[l][N] || r >= kModulus)
-                r.subInPlace(kModulus);
-            out[l].v_ = r;
-        }
     }
 
     Repr v_{}; // Montgomery form
@@ -577,7 +525,7 @@ batchInverseSerial(F* elems, std::size_t n)
  * The prefix/suffix product passes are serial chains, so for large
  * batches the array is split into eight contiguous blocks whose chains
  * advance in lock-step through mulBatch — turning nearly all of the
- * 3n multiplies into dispatched (interleaved / IFMA) batch work. The
+ * 3n multiplies into dispatched (IFMA where available) batch work. The
  * block partition puts all full-length chains first, so the set of
  * still-active chains at any step is a prefix and the accumulators
  * stay contiguous for mulBatch.

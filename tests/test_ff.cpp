@@ -157,47 +157,55 @@ TYPED_TEST(PrimeFieldTest, MulBatchAllImplsMatchOperator)
 {
     using F = TypeParam;
     Rng rng(7);
-    // Odd length so every path exercises its tail handling.
-    constexpr std::size_t kN = 37;
-    std::vector<F> a(kN), b(kN), expect(kN);
-    for (std::size_t i = 0; i < kN; ++i) {
+    constexpr std::size_t kMaxN = 37;
+    std::vector<F> a(kMaxN), b(kMaxN);
+    for (std::size_t i = 0; i < kMaxN; ++i) {
         a[i] = F::random(rng);
         b[i] = F::random(rng);
-        expect[i] = a[i] * b[i];
     }
     // Edge values among random ones.
     a[0] = F::zero();
     b[1] = F::zero();
     a[2] = F::one();
     b[3] = -F::one();
-    for (std::size_t i = 0; i < 4; ++i)
-        expect[i] = a[i] * b[i];
 
-    std::vector<MulImpl> impls = {MulImpl::kScalar, MulImpl::kInterleaved};
+    std::vector<MulImpl> impls = {MulImpl::kScalar};
     if (ifmaSupported())
         impls.push_back(MulImpl::kIfma);
-    for (MulImpl impl : impls) {
-        std::vector<F> out(kN);
-        F::mulBatch(out.data(), a.data(), b.data(), kN, impl);
-        for (std::size_t i = 0; i < kN; ++i)
-            EXPECT_EQ(out[i], expect[i]) << "impl=" << (int)impl
-                                         << " i=" << i;
-    }
+    // Lengths on both sides of every 8-wide IFMA block / scalar tail
+    // boundary.
+    for (std::size_t n : {0, 1, 7, 8, 9, 15, 16, 17, 37}) {
+        std::vector<F> expect(n), square(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            expect[i] = a[i] * b[i];
+            square[i] = a[i] * a[i];
+        }
+        for (MulImpl impl : impls) {
+            SCOPED_TRACE(::testing::Message()
+                         << "impl=" << (int)impl << " n=" << n);
+            std::vector<F> out(n);
+            F::mulBatch(out.data(), a.data(), b.data(), n, impl);
+            EXPECT_EQ(out, expect);
 
-    // In-place aliasing: out == a.
-    for (MulImpl impl : impls) {
-        std::vector<F> inplace = a;
-        F::mulBatch(inplace.data(), inplace.data(), b.data(), kN, impl);
-        for (std::size_t i = 0; i < kN; ++i)
-            EXPECT_EQ(inplace[i], expect[i]) << "impl=" << (int)impl
-                                             << " i=" << i;
+            // In-place aliasing, as BatchAffineAdder::flush uses it:
+            // out == a, out == b, and out == a == b.
+            std::vector<F> lhs(a.begin(), a.begin() + n);
+            F::mulBatch(lhs.data(), lhs.data(), b.data(), n, impl);
+            EXPECT_EQ(lhs, expect);
+            std::vector<F> rhs(b.begin(), b.begin() + n);
+            F::mulBatch(rhs.data(), a.data(), rhs.data(), n, impl);
+            EXPECT_EQ(rhs, expect);
+            std::vector<F> both(a.begin(), a.begin() + n);
+            F::mulBatch(both.data(), both.data(), both.data(), n, impl);
+            EXPECT_EQ(both, square);
+        }
     }
 
     // The generic helper routes prime fields through the same kernel.
-    std::vector<F> generic(kN);
-    mulBatch(generic.data(), a.data(), b.data(), kN);
-    for (std::size_t i = 0; i < kN; ++i)
-        EXPECT_EQ(generic[i], expect[i]);
+    std::vector<F> generic(kMaxN);
+    mulBatch(generic.data(), a.data(), b.data(), kMaxN);
+    for (std::size_t i = 0; i < kMaxN; ++i)
+        EXPECT_EQ(generic[i], a[i] * b[i]);
 }
 
 TEST(MulBatch, ExtensionFieldFallback)
