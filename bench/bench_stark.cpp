@@ -94,6 +94,7 @@ observeStarkProve(const stark::Air& air, std::size_t threads,
         sinks.push_back(predictors.back().get());
     }
 
+    const sim::CountingScope counting;
     sim::drainWorkerCounters();
     const sim::Counters before = sim::counters();
     (void)stark::prove(air, benchParams(), threads, sinks,

@@ -146,6 +146,9 @@ class StageRunner
         if (obs::tracingEnabled())
             spans_before = obs::spanAggregates();
 
+        // Simulator counting is on for the measured region only; the
+        // prerequisites above run uncounted.
+        std::optional<sim::CountingScope> counting(std::in_place);
         sim::drainWorkerCounters();
         const sim::Counters before = sim::counters();
         // Hardware counters: drop any worker deltas accumulated by
@@ -168,6 +171,7 @@ class StageRunner
         }
         const double seconds = timer.seconds();
         sim::drainWorkerCounters();
+        counting.reset();
 
         StageRun out;
         out.seconds = seconds;

@@ -81,6 +81,9 @@ std::string runReportJson();
 /** Write runReportJson() to @p path. Returns false on I/O failure. */
 bool writeRunReport(const std::string& path);
 
+/** True when ZKP_REPORT armed the at-exit writeRunReport. */
+bool reportAtExit();
+
 } // namespace zkp::obs
 
 #endif // ZKP_OBS_REPORT_H

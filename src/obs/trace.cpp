@@ -346,6 +346,8 @@ writeTrace(const std::string& path)
 
 namespace {
 
+bool gReportAtExit = false;
+
 /**
  * Environment activation: ZKP_TRACE=path enables tracing for the
  * whole process and flushes at exit; ZKP_REPORT=path writes the
@@ -362,6 +364,7 @@ struct EnvInit
         if (const char* p = std::getenv("ZKP_REPORT"); p && *p) {
             static std::string path;
             path = p;
+            gReportAtExit = true;
             std::atexit([] { writeRunReport(path); });
         }
     }
@@ -370,5 +373,11 @@ struct EnvInit
 EnvInit gEnvInit;
 
 } // namespace
+
+bool
+reportAtExit()
+{
+    return gReportAtExit;
+}
 
 } // namespace zkp::obs

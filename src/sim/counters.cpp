@@ -51,6 +51,8 @@ installWorkerMergeHook()
     static std::once_flag once;
     std::call_once(once, [] {
         setWorkerDoneHook([] {
+            if (!countingEnabled())
+                return;
             std::lock_guard<std::mutex> lock(gPendingMutex);
             gPendingWorkers.merge(counters());
             counters().reset();

@@ -12,16 +12,21 @@
  * built from counted primitives and therefore need no signatures of
  * their own beyond their loop overhead.
  *
- * The counting path is a handful of integer adds on a thread-local
- * struct, cheap enough to leave permanently enabled; the optional
- * memory-address tracing path (see sim/memtrace.h) is gated behind a
- * single predictable branch.
+ * Counting is off unless some code that reads the counters holds a
+ * CountingScope: StageRunner::run, the STARK stage bracket when the
+ * run report is written at exit, bench_stark's direct read, and a
+ * ScopedTrace with sinks (the cache model stamps accesses with the
+ * instruction count). Off, count() costs one relaxed load and one
+ * predictable branch, so the provers, the verifiers and the daemon
+ * pay nothing for the simulator. The optional memory-address tracing
+ * path (see sim/memtrace.h) keeps its own per-thread gate.
  */
 
 #ifndef ZKP_SIM_COUNTERS_H
 #define ZKP_SIM_COUNTERS_H
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstddef>
 
@@ -181,13 +186,45 @@ struct Counters
 /** The calling thread's counters. */
 Counters& counters();
 
+namespace detail {
+
+/// Number of live CountingScopes, process-wide.
+inline std::atomic<int> gCountingScopes{0};
+
+} // namespace detail
+
+/** True while at least one CountingScope is alive in the process. */
+inline bool
+countingEnabled()
+{
+    return detail::gCountingScopes.load(std::memory_order_relaxed) != 0;
+}
+
+/**
+ * RAII switch that turns counting on for the whole process (every
+ * thread, pool workers included) while it lives. Scopes nest and may
+ * overlap across threads: counting stays on until the last one ends.
+ * Hold one around any region whose counters something reads.
+ */
+class CountingScope
+{
+  public:
+    CountingScope() { detail::gCountingScopes.fetch_add(1); }
+    ~CountingScope() { detail::gCountingScopes.fetch_sub(1); }
+
+    CountingScope(const CountingScope&) = delete;
+    CountingScope& operator=(const CountingScope&) = delete;
+};
+
 /**
  * Record @p repeat executions of primitive @p op at limb width
- * @p limbs on the calling thread.
+ * @p limbs on the calling thread. A no-op unless counting is enabled.
  */
 inline void
 count(PrimOp op, unsigned limbs = 4, u64 repeat = 1)
 {
+    if (!countingEnabled()) [[likely]]
+        return;
     const OpSignature sig = signatureFor(op, limbs);
     Counters& c = counters();
     c.compute += sig.compute * repeat;
@@ -205,6 +242,8 @@ count(PrimOp op, unsigned limbs = 4, u64 repeat = 1)
 inline void
 countAlloc(u64 bytes)
 {
+    if (!countingEnabled()) [[likely]]
+        return;
     count(PrimOp::Alloc);
     counters().allocBytes += bytes;
 }
@@ -213,14 +252,17 @@ countAlloc(u64 bytes)
 inline void
 countMemcpy(u64 bytes)
 {
+    if (!countingEnabled()) [[likely]]
+        return;
     count(PrimOp::MemcpyWord, 4, (bytes + 7) / 8);
     counters().memcpyBytes += bytes;
 }
 
 /**
  * Install the worker-done hook that merges worker-thread counters into
- * an aggregate the parent folds back in. Called once at startup by the
- * analysis layer; safe to call repeatedly.
+ * an aggregate the parent folds back in. The hook does nothing while
+ * counting is off. Called once at startup by the analysis layer; safe
+ * to call repeatedly.
  */
 void installWorkerMergeHook();
 

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sim/counters.h"
@@ -105,7 +106,9 @@ branchEvent(u32 site, bool taken)
 
 /**
  * RAII enabling of tracing on the current thread with the given sinks.
- * Restores the previous control block on destruction.
+ * Restores the previous control block on destruction. With sinks it
+ * also holds a CountingScope: sinks receive the instruction count at
+ * each access (the cache model's bandwidth windows).
  */
 class ScopedTrace
 {
@@ -117,6 +120,8 @@ class ScopedTrace
     ScopedTrace(std::vector<TraceSink*> sinks, u32 sample_mask = 0)
         : saved_(traceControl())
     {
+        if (!sinks.empty())
+            counting_.emplace();
         TraceControl& t = traceControl();
         t.active = !sinks.empty();
         t.sampleMask = sample_mask;
@@ -131,6 +136,7 @@ class ScopedTrace
 
   private:
     TraceControl saved_;
+    std::optional<CountingScope> counting_;
 };
 
 } // namespace zkp::sim

@@ -19,6 +19,7 @@
 #ifndef ZKP_STARK_PIPELINE_H
 #define ZKP_STARK_PIPELINE_H
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,8 +57,10 @@ starkCountersDelta(const sim::Counters& before,
 
 /**
  * Execute @p fn as one instrumented STARK stage and append the
- * obs::StageReport. Returns the measured core::StageRun so callers
- * (bench_stark's analyses) can consume counters directly.
+ * obs::StageReport. Returns the measured core::StageRun. Its sim
+ * counters are zero unless counting was on (sim::CountingScope): the
+ * stage takes a scope itself only for the at-exit run report or when
+ * trace sinks are attached.
  *
  * @param stage  report stage name ("stark_fri", ...); must be a
  *               string literal (span aggregation keys on the pointer)
@@ -80,6 +83,13 @@ runStarkStage(const char* stage, const std::string& tag,
     if (obs::tracingEnabled())
         spans_before = obs::spanAggregates();
 
+    // Every STARK prove runs through here, so the stage counts only
+    // when something reads its counters: the at-exit run report, the
+    // trace sinks, or a caller's own CountingScope.
+    std::optional<sim::CountingScope> counting;
+    if (obs::reportAtExit() || !sinks.empty())
+        counting.emplace();
+    const bool counted = sim::countingEnabled();
     sim::drainWorkerCounters();
     const sim::Counters before = sim::counters();
     obs::pmu::Sample hw_before;
@@ -95,6 +105,7 @@ runStarkStage(const char* stage, const std::string& tag,
     }
     const double seconds = timer.seconds();
     sim::drainWorkerCounters();
+    counting.reset();
 
     core::StageRun out;
     out.seconds = seconds;
@@ -115,9 +126,10 @@ runStarkStage(const char* stage, const std::string& tag,
     rep.constraints = work;
     rep.threads = threads;
     rep.seconds = out.seconds;
-    rep.counters = [&] {
+    // An uncounted stage reports no counters rather than zeros.
+    if (counted) {
         const sim::Counters& c = out.counters;
-        std::vector<std::pair<std::string, double>> pairs{
+        rep.counters = {
             {"instructions", (double)c.instructions()},
             {"compute", (double)c.compute},
             {"control", (double)c.control},
@@ -129,8 +141,7 @@ runStarkStage(const char* stage, const std::string& tag,
             {"alloc_bytes", (double)c.allocBytes},
             {"memcpy_bytes", (double)c.memcpyBytes},
         };
-        return pairs;
-    }();
+    }
     rep.hwAvailable = out.hw.available;
     rep.hw = obs::pmu::statPairs(out.hw);
     rep.mem = out.mem;

@@ -66,6 +66,39 @@ TEST(StageRunner, CountersIsolatePerStage)
               10 * witness.counters.instructions());
 }
 
+// StageRunner holds the counting scope over exactly its measured
+// region, so the gate must not drop a single count there. The values
+// are those the library produced when counting was always on
+// (BN254 exp at 2^10, one thread, default seed).
+TEST(StageRunner, PinnedPrimCountsAtTwoToTen)
+{
+    struct Pin
+    {
+        Stage stage;
+        sim::u64 fieldMul, fieldAdd, msmWindow, nttButterfly, alloc;
+        sim::u64 instructions;
+    };
+    const Pin pins[] = {
+        {Stage::Setup, 1239896, 1935216, 164256, 0, 7, 127378968},
+        {Stage::Proving, 975716, 1276096, 80242, 35840, 6, 93998430},
+    };
+    StageRunner<Bn254> runner(std::size_t(1) << 10);
+    for (const Pin& pin : pins) {
+        const sim::Counters c = runner.run(pin.stage, 1).counters;
+        auto prim = [&](sim::PrimOp op) {
+            return c.prim[(std::size_t)op];
+        };
+        const char* name = stageName(pin.stage);
+        EXPECT_EQ(prim(sim::PrimOp::FieldMul), pin.fieldMul) << name;
+        EXPECT_EQ(prim(sim::PrimOp::FieldAdd), pin.fieldAdd) << name;
+        EXPECT_EQ(prim(sim::PrimOp::MsmWindow), pin.msmWindow) << name;
+        EXPECT_EQ(prim(sim::PrimOp::NttButterfly), pin.nttButterfly)
+            << name;
+        EXPECT_EQ(prim(sim::PrimOp::Alloc), pin.alloc) << name;
+        EXPECT_EQ(c.instructions(), pin.instructions) << name;
+    }
+}
+
 TEST(StageRunner, DeterministicCounters)
 {
     StageRunner<Bn254> a(32), b(32);

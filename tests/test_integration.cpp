@@ -119,6 +119,7 @@ TEST(Integration, AnalysisOnRangeCircuitPipeline)
     using Scheme = snark::Groth16<Bn254>;
 
     sim::installWorkerMergeHook();
+    const sim::CountingScope counting;
     sim::drainWorkerCounters();
     const sim::Counters before = sim::counters();
 

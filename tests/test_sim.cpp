@@ -9,18 +9,21 @@
 #include <thread>
 
 #include "common/parallel.h"
+#include "ff/params.h"
 #include "sim/branch.h"
 #include "sim/cache.h"
 #include "sim/counters.h"
 #include "sim/cpu_model.h"
 #include "sim/memtrace.h"
 #include "sim/topdown.h"
+#include "stark/field.h"
 
 namespace zkp::sim {
 namespace {
 
 TEST(Counters, SignatureAccumulation)
 {
+    const CountingScope counting;
     Counters saved = counters();
     counters().reset();
 
@@ -49,6 +52,7 @@ TEST(Counters, SignaturesScaleWithLimbs)
 
 TEST(Counters, AllocAndMemcpyHelpers)
 {
+    const CountingScope counting;
     Counters saved = counters();
     counters().reset();
     countAlloc(1000);
@@ -74,6 +78,7 @@ TEST(Counters, MergeIsAdditive)
 TEST(Counters, WorkerMergeHookCollectsThreads)
 {
     installWorkerMergeHook();
+    const CountingScope counting;
     Counters saved = counters();
     counters().reset();
     drainWorkerCounters(); // flush any leftovers from other tests
@@ -86,6 +91,88 @@ TEST(Counters, WorkerMergeHookCollectsThreads)
     drainWorkerCounters();
     EXPECT_EQ(counters().prim[(std::size_t)PrimOp::FieldAdd], 400u);
     counters() = saved;
+}
+
+bool
+sameCounters(const Counters& a, const Counters& b)
+{
+    return a.compute == b.compute && a.control == b.control &&
+           a.data == b.data && a.loads == b.loads &&
+           a.stores == b.stores && a.branches == b.branches &&
+           a.prim == b.prim && a.imuls == b.imuls &&
+           a.allocBytes == b.allocBytes && a.memcpyBytes == b.memcpyBytes;
+}
+
+TEST(Counters, OffOutsideScope)
+{
+    using Fr = ff::bn254::Fr;
+    using stark::Gl;
+    installWorkerMergeHook();
+    ASSERT_FALSE(countingEnabled());
+    {
+        const CountingScope flush;
+        drainWorkerCounters(); // leftovers from other tests
+    }
+    // Operands are built up front: conversions count field ops too.
+    const Fr fa = Fr::fromU64(3), fb = Fr::fromU64(5);
+    const Gl ga = Gl::fromU64(7), gb = Gl::fromU64(11);
+    Fr fr;
+    Gl gl;
+    auto work = [&] {
+        fr = fa * fb;
+        gl = ga * gb;
+        countAlloc(1000);
+        countMemcpy(64);
+        parallelFor(4, 4, [](std::size_t, std::size_t b, std::size_t e) {
+            for (std::size_t i = b; i < e; ++i)
+                count(PrimOp::FieldAdd, 4, 100);
+        });
+        drainWorkerCounters();
+    };
+
+    const Counters before = counters();
+    work();
+    EXPECT_TRUE(sameCounters(counters(), before));
+
+    {
+        const CountingScope outer;
+        {
+            const CountingScope inner;
+        }
+        EXPECT_TRUE(countingEnabled()) << "inner exit ended the outer";
+        work();
+    }
+    EXPECT_FALSE(countingEnabled());
+    const Counters after = counters();
+    auto delta = [&](PrimOp op) {
+        return after.prim[(std::size_t)op] - before.prim[(std::size_t)op];
+    };
+    EXPECT_EQ(delta(PrimOp::FieldMul), 2u);
+    EXPECT_EQ(delta(PrimOp::FieldAdd), 400u);
+    EXPECT_EQ(delta(PrimOp::Alloc), 1u);
+    EXPECT_EQ(delta(PrimOp::MemcpyWord), 8u);
+    EXPECT_EQ(after.allocBytes - before.allocBytes, 1000u);
+    EXPECT_EQ(after.memcpyBytes - before.memcpyBytes, 64u);
+    EXPECT_EQ(fr, Fr::fromU64(15));
+    EXPECT_EQ(gl, Gl::fromU64(77));
+}
+
+TEST(Counters, ScopedTraceWithSinksCounts)
+{
+    struct Null : TraceSink
+    {
+        void onAccess(u64, u32, bool, u64) override {}
+    } sink;
+    ASSERT_FALSE(countingEnabled());
+    {
+        ScopedTrace none({});
+        EXPECT_FALSE(countingEnabled());
+    }
+    {
+        ScopedTrace traced({&sink});
+        EXPECT_TRUE(countingEnabled());
+    }
+    EXPECT_FALSE(countingEnabled());
 }
 
 TEST(MemTrace, DisabledByDefaultAndScoped)

@@ -18,6 +18,7 @@
 
 #include "common/rng.h"
 #include "obs/memprof.h"
+#include "obs/report.h"
 #include "poly/domain.h"
 #include "prop/zkcheck.h"
 #include "stark/air.h"
@@ -319,6 +320,7 @@ TEST(Stark, ProofIsDeterministic)
 TEST(StarkSim, HashCountsArePinned)
 {
     const MimcAir air(1 << 8, Gl::fromU64(7));
+    const sim::CountingScope counting;
     sim::drainWorkerCounters();
     const sim::Counters before = sim::counters();
     const StarkProof proof = prove(air, StarkParams{}, 1);
@@ -329,6 +331,29 @@ TEST(StarkSim, HashCountsArePinned)
     };
     EXPECT_EQ(delta(sim::PrimOp::HashCompress), 8198u);
     EXPECT_EQ(delta(sim::PrimOp::HashAbsorb), 3968u);
+    EXPECT_TRUE(verify(air, StarkParams{}, proof));
+}
+
+// Every STARK prove runs through runStarkStage, so with no reader (no
+// CountingScope, no trace sinks, no ZKP_REPORT) it must count nothing
+// and its stage records must carry no counters.
+TEST(StarkSim, ProveOutsideScopeCountsNothing)
+{
+    if (obs::reportAtExit())
+        GTEST_SKIP() << "ZKP_REPORT turns STARK stage counting on";
+    const MimcAir air(1 << 6, Gl::fromU64(7));
+    sim::drainWorkerCounters();
+    const sim::Counters before = sim::counters();
+    obs::clearStageReports();
+    const StarkProof proof = prove(air, StarkParams{}, 2);
+    sim::drainWorkerCounters();
+    EXPECT_EQ(sim::counters().instructions(), before.instructions());
+    EXPECT_EQ(sim::counters().prim, before.prim);
+    const auto reports = obs::stageReports();
+    EXPECT_FALSE(reports.empty());
+    for (const auto& r : reports)
+        EXPECT_TRUE(r.counters.empty()) << r.stage;
+    obs::clearStageReports();
     EXPECT_TRUE(verify(air, StarkParams{}, proof));
 }
 
