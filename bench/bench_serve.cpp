@@ -1,23 +1,19 @@
 /**
  * @file
- * Closed-loop load generator for the proof-serving subsystem.
+ * Closed-loop smoke client for a running zkperfd.
  *
- * Each client thread issues one request at a time (closed loop) and
- * waits for the result: proves at --verify-frac=0 or a mix where a
- * fraction of iterations re-submit the client's latest proof as a
- * Batch-priority verify (exercising priority scheduling and the
- * opportunistic verifyBatch path). QueueFull responses are counted
- * and retried after a short backoff — backpressure, not failure.
+ * Each client thread holds one connection to the daemon's Unix
+ * socket, issues one request at a time (closed loop) and waits for
+ * the result: proves at --verify-frac=0 or a mix where a fraction of
+ * iterations re-submit the client's latest proof as a Batch-priority
+ * verify (exercising priority scheduling and the opportunistic
+ * verifyBatch path). QueueFull responses are counted and retried
+ * after a short backoff — backpressure, not failure.
  *
- * Modes:
- *   default      in-process ProofService (no daemon needed)
- *   --socket P   wire client against a running zkperfd at path P
- *
- * Run: ./build/bench/bench_serve [--clients <n>] [--seconds <s>]
- *          [--requests <n>] [--log2 <k>] [--circuit <zoo>[:scale]]
- *          [--verify-frac <f>] [--workers <n>] [--queue <n>]
- *          [--prove-threads <n>] [--socket <path>] [--out <file>]
- *          [--smoke] [--stats-dump <file>]
+ * Run: ./build/bench/bench_serve --socket <path> [--clients <n>]
+ *          [--seconds <s>] [--requests <n>] [--log2 <k>]
+ *          [--circuit <zoo>[:scale]] [--verify-frac <f>] [--smoke]
+ *          [--stats-dump <file>]
  *
  *   --circuit    adds a circuit-zoo entry (wire id "<zoo>:<scale>",
  *                scale defaulting to the catalog default) to the
@@ -25,8 +21,8 @@
  *                among the mix per iteration and generate each
  *                circuit's witnesses with its zoo sampler. Without
  *                the flag the mix is the classic single "exp<k>"
- *                workload. In socket mode the daemon must have
- *                registered the same ids (zkperfd --circuit).
+ *                workload. The daemon must have registered the same
+ *                ids (zkperfd --circuit).
  *   --smoke      CI shape: 200 requests total at 2^8 constraints
  *                (explicit --requests/--log2 still win)
  *   --stats-dump scrape-only mode: send a stats/v2 request to the
@@ -35,11 +31,10 @@
  *                exit without generating load (CI uses this to
  *                assert on a live daemon's telemetry)
  *
- * Reports p50/p95/p99/p999/mean latency per request kind plus
- * throughput, and writes BENCH_serve.json whose "results" array holds
- * one entry per latency statistic — including the server-side
- * serve_server_{prove,verify}_{p50,p99,p999} tail-latency entries
- * scraped from the service's own lifecycle histograms.
+ * Prints p50/p95/p99/p999/mean latency per request kind plus
+ * throughput, and the daemon's own per-lane end-to-end quantiles
+ * from a stats/v2 scrape. Tail-latency numbers for the ledger come
+ * from perfbench's serve-mix workload, not from this client.
  *
  * After a load run the bench cross-checks the server's end-to-end
  * quantiles against the client-observed ones: a request's server-side
@@ -52,8 +47,8 @@
  * clock confusion, which are the bugs this check exists for.
  *
  * Exits 1 if any request failed (a rejected proof, an invalid verify,
- * a non-Ok terminal status, or a cross-check violation), 2 on usage
- * errors.
+ * a non-Ok terminal status), the stats/v2 scrape after the run
+ * failed, or the cross-check found a violation; 2 on usage errors.
  */
 
 #include <algorithm>
@@ -69,25 +64,12 @@
 #include "bench_util.h"
 #include "serve/circuit_host.h"
 #include "serve/protocol.h"
-#include "serve/service.h"
 
 #include <unistd.h>
 
 namespace {
 
 using namespace zkp;
-
-/** One "results" entry of BENCH_serve.json: a latency statistic in
- *  seconds over `repeats` samples. */
-struct LatencyEntry
-{
-    std::string name;
-    std::size_t n = 0;
-    std::size_t threads = 1;
-    unsigned repeats = 1;
-    double secondsMean = 0;
-    double secondsMin = 0;
-};
 
 /** Write @p text to @p path; false on I/O failure. */
 bool
@@ -109,11 +91,7 @@ struct Options
     std::size_t log2N = 12;
     std::vector<std::string> circuitSpecs;
     double verifyFrac = 0.25;
-    std::size_t workers = 0;
-    std::size_t queue = 0;
-    std::size_t proveThreads = 0;
-    std::string socketPath; // empty = in-process
-    std::string outPath = "BENCH_serve.json";
+    std::string socketPath;
     std::string statsDumpPath; // non-empty = scrape-only mode
 };
 
@@ -122,12 +100,10 @@ usage(const char* argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--clients <n>] [--seconds <s>] [--requests <n>]\n"
-        "          [--log2 <k>] [--circuit <zoo>[:scale]]\n"
-        "          [--verify-frac <f>] [--workers <n>]\n"
-        "          [--queue <n>] [--prove-threads <n>]\n"
-        "          [--socket <path>] [--out <file>] [--smoke]\n"
-        "          [--stats-dump <file>]\n",
+        "usage: %s --socket <path> [--clients <n>] [--seconds <s>]\n"
+        "          [--requests <n>] [--log2 <k>]\n"
+        "          [--circuit <zoo>[:scale]] [--verify-frac <f>]\n"
+        "          [--smoke] [--stats-dump <file>]\n",
         argv0);
     return 2;
 }
@@ -257,52 +233,6 @@ recordOutcome(ClientStats& stats, serve::Status status, bool is_verify,
 }
 
 void
-clientLoopInproc(serve::ProofService& service,
-                 const std::vector<MixItem>& mix, const Options& opt,
-                 RunControl& ctl, std::size_t index,
-                 ClientStats& stats)
-{
-    Rng rng(7001 + (u64)index);
-    std::vector<std::uint8_t> lastProof;
-    std::vector<std::uint8_t> lastPublic;
-    std::string lastCircuit;
-
-    while (ctl.claim()) {
-        const bool verify =
-            wantVerify(rng, opt.verifyFrac, !lastProof.empty());
-        const MixItem& item =
-            mix[mix.size() == 1 ? 0 : rng.nextBelow(mix.size())];
-        const Workload w =
-            verify ? Workload{} : makeWorkload(rng, item);
-        const double t0 = wallNow();
-        serve::Response r;
-        while (true) {
-            serve::RequestOptions ropt;
-            ropt.priority = verify ? serve::Priority::Batch
-                                   : serve::Priority::Interactive;
-            auto ticket =
-                verify ? service.submitVerify(lastCircuit, lastPublic,
-                                              lastProof, ropt)
-                       : service.submitProve(item.id, w.publicInputs,
-                                             w.privateInputs, ropt);
-            r = ticket.result.get();
-            if (r.status != serve::Status::QueueFull)
-                break;
-            stats.queueFullRetries++;
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(2));
-        }
-        recordOutcome(stats, r.status, verify, r.valid,
-                      wallNow() - t0);
-        if (!verify && r.status == serve::Status::Ok) {
-            lastProof = std::move(r.proof);
-            lastPublic = w.publicInputs;
-            lastCircuit = item.id;
-        }
-    }
-}
-
-void
 clientLoopSocket(const std::vector<MixItem>& mix, const Options& opt,
                  RunControl& ctl, std::size_t index,
                  ClientStats& stats, std::atomic<bool>& connect_failed)
@@ -382,43 +312,6 @@ clientLoopSocket(const std::vector<MixItem>& mix, const Options& opt,
     ::close(fd);
 }
 
-/** p50/p95/p99/p999/mean entries for one request kind. */
-void
-appendLatencyEntries(std::vector<LatencyEntry>& entries,
-                     const std::string& kind,
-                     std::vector<double> samples, const Options& opt)
-{
-    if (samples.empty())
-        return;
-    std::sort(samples.begin(), samples.end());
-    double sum = 0;
-    for (double s : samples)
-        sum += s;
-    const struct
-    {
-        const char* suffix;
-        double value;
-    } rows[] = {
-        {"p50", bench::percentile(samples, 0.50)},
-        {"p95", bench::percentile(samples, 0.95)},
-        {"p99", bench::percentile(samples, 0.99)},
-        {"p999", bench::percentile(samples, 0.999)},
-        {"mean", sum / (double)samples.size()},
-    };
-    for (const auto& row : rows) {
-        LatencyEntry e;
-        e.name = "serve_" + kind + "_" + row.suffix;
-        e.n = std::size_t(1) << opt.log2N;
-        e.threads = opt.clients;
-        e.repeats = (unsigned)samples.size();
-        // Both fields carry the statistic: "min of repeats" has no
-        // analogue for a percentile of a latency distribution.
-        e.secondsMean = row.value;
-        e.secondsMin = row.value;
-        entries.push_back(std::move(e));
-    }
-}
-
 /** One server-side lane's end-to-end quantiles, in seconds. */
 struct ServerLane
 {
@@ -432,7 +325,6 @@ struct ServerLane
 struct ServerScrape
 {
     bool ok = false;
-    std::uint64_t completed = 0;
     std::vector<ServerLane> lanes;
 };
 
@@ -447,26 +339,6 @@ pickLane(const ServerScrape& server, const char* kind)
             (!best || lane.count > best->count))
             best = &lane;
     return best;
-}
-
-ServerScrape
-scrapeInproc(const serve::ProofService& service)
-{
-    ServerScrape out;
-    const serve::ServiceStatsSnapshot snap = service.snapshotStats();
-    out.ok = true;
-    out.completed = snap.completed;
-    for (const auto& lane : snap.lanes) {
-        ServerLane sl;
-        sl.kind = serve::opKindName(lane.kind);
-        sl.priority = serve::priorityName(lane.priority);
-        sl.count = lane.e2eUs.count;
-        sl.p50 = lane.e2eUs.quantile(0.50) / 1e6;
-        sl.p99 = lane.e2eUs.quantile(0.99) / 1e6;
-        sl.p999 = lane.e2eUs.quantile(0.999) / 1e6;
-        out.lanes.push_back(std::move(sl));
-    }
-    return out;
 }
 
 // --- zkperf-serve-stats/2 field scanning -----------------------------------
@@ -523,8 +395,6 @@ parseStatsV2Json(const std::string& json)
     if (findStringField(json, "schema") != "zkperf-serve-stats/2")
         return out;
     out.ok = true;
-    out.completed = (std::uint64_t)findNumberField(
-        findObjectField(json, "service"), "completed");
 
     const std::string lanesPat = "\"lanes\":[";
     auto p = json.find(lanesPat);
@@ -584,38 +454,6 @@ scrapeStatsV2Socket(const std::string& path, std::string& jsonOut)
     return true;
 }
 
-/** serve_server_* entries: the daemon's own tail quantiles. */
-void
-appendServerEntries(std::vector<LatencyEntry>& entries,
-                    const ServerScrape& server, const Options& opt)
-{
-    for (const char* kind : {"prove", "verify"}) {
-        const ServerLane* lane = pickLane(server, kind);
-        if (!lane || lane->count == 0)
-            continue;
-        const struct
-        {
-            const char* suffix;
-            double value;
-        } rows[] = {
-            {"p50", lane->p50},
-            {"p99", lane->p99},
-            {"p999", lane->p999},
-        };
-        for (const auto& row : rows) {
-            LatencyEntry e;
-            e.name =
-                std::string("serve_server_") + kind + "_" + row.suffix;
-            e.n = std::size_t(1) << opt.log2N;
-            e.threads = opt.clients;
-            e.repeats = (unsigned)lane->count;
-            e.secondsMean = row.value;
-            e.secondsMin = row.value;
-            entries.push_back(std::move(e));
-        }
-    }
-}
-
 /**
  * Server-vs-client latency agreement gate (see the file comment for
  * the tolerance rationale). Only meaningful when every request
@@ -657,49 +495,6 @@ crossCheckServer(const ServerScrape& server,
     return violations;
 }
 
-std::string
-serveJson(const Options& opt, const std::string& circuit,
-          const ClientStats& total, double elapsed,
-          const std::vector<LatencyEntry>& entries)
-{
-    char buf[512];
-    std::string json = "{\n  \"bench\": \"bench_serve\",\n";
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"config\": {\"mode\": \"%s\", \"circuit\": \"%s\", "
-        "\"log2_constraints\": %zu, \"clients\": %zu, "
-        "\"verify_frac\": %.3f},\n",
-        opt.socketPath.empty() ? "inproc" : "socket",
-        circuit.c_str(), opt.log2N, opt.clients, opt.verifyFrac);
-    json += buf;
-    const double rps =
-        elapsed > 0 ? (double)total.completed / elapsed : 0;
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"serve\": {\"completed\": %llu, \"failed\": %llu, "
-        "\"queue_full_retries\": %llu, \"elapsed_seconds\": %.3f, "
-        "\"throughput_rps\": %.3f},\n",
-        (unsigned long long)total.completed,
-        (unsigned long long)total.failures,
-        (unsigned long long)total.queueFullRetries, elapsed, rps);
-    json += buf;
-    json += "  \"results\": [\n";
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        const auto& e = entries[i];
-        std::snprintf(buf, sizeof(buf),
-                      "    {\"name\": \"%s\", \"n\": %zu, "
-                      "\"threads\": %zu, \"repeats\": %u, "
-                      "\"seconds_mean\": %.6f, "
-                      "\"seconds_min\": %.6f}%s\n",
-                      e.name.c_str(), e.n, e.threads, e.repeats,
-                      e.secondsMean, e.secondsMin,
-                      i + 1 < entries.size() ? "," : "");
-        json += buf;
-    }
-    json += "  ]\n}\n";
-    return json;
-}
-
 } // namespace
 
 int
@@ -733,16 +528,8 @@ main(int argc, char** argv)
             opt.circuitSpecs.emplace_back(v);
         } else if (const char* v = value("--verify-frac")) {
             opt.verifyFrac = std::atof(v);
-        } else if (const char* v = value("--workers")) {
-            opt.workers = (std::size_t)std::atoi(v);
-        } else if (const char* v = value("--queue")) {
-            opt.queue = (std::size_t)std::atoi(v);
-        } else if (const char* v = value("--prove-threads")) {
-            opt.proveThreads = (std::size_t)std::atoi(v);
         } else if (const char* v = value("--socket")) {
             opt.socketPath = v;
-        } else if (const char* v = value("--out")) {
-            opt.outPath = v;
         } else if (const char* v = value("--stats-dump")) {
             opt.statsDumpPath = v;
         } else if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -763,13 +550,12 @@ main(int argc, char** argv)
         std::fprintf(stderr, "invalid option values\n");
         return usage(argv[0]);
     }
+    if (opt.socketPath.empty()) {
+        std::fprintf(stderr, "--socket <path> is required\n");
+        return usage(argv[0]);
+    }
 
     if (!opt.statsDumpPath.empty()) {
-        if (opt.socketPath.empty()) {
-            std::fprintf(stderr,
-                         "--stats-dump requires --socket <path>\n");
-            return usage(argv[0]);
-        }
         std::string json;
         if (!scrapeStatsV2Socket(opt.socketPath, json)) {
             std::fprintf(stderr,
@@ -794,10 +580,9 @@ main(int argc, char** argv)
     for (const auto& item : mix)
         mix_label += (mix_label.empty() ? "" : ",") + item.id;
 
-    std::printf("bench_serve: %s mode, circuits=%s clients=%zu %s "
+    std::printf("bench_serve: socket %s, circuits=%s clients=%zu %s "
                 "verify_frac=%.2f\n",
-                opt.socketPath.empty() ? "in-process" : "socket",
-                mix_label.c_str(), opt.clients,
+                opt.socketPath.c_str(), mix_label.c_str(), opt.clients,
                 opt.requests
                     ? (std::string("requests=") +
                        std::to_string(opt.requests))
@@ -813,77 +598,31 @@ main(int argc, char** argv)
     std::vector<ClientStats> stats(opt.clients);
     std::vector<std::thread> clients;
     std::atomic<bool> connect_failed{false};
-    double t_start = 0, elapsed = 0;
-    ServerScrape server;
-
-    if (opt.socketPath.empty()) {
-        serve::ServiceConfig cfg;
-        cfg.workers = opt.workers;
-        cfg.queueCapacity = opt.queue;
-        cfg.proveThreads = opt.proveThreads;
-        serve::ProofService service(cfg);
-        for (const auto& item : mix) {
-            service.registerCircuit(serve::makeZooHost<snark::Bn254>(
-                item.id, item.entry->name, item.scale, 2024,
-                service.config().proveThreads));
-            service.prewarm(item.id);
-        }
-        std::printf("bench_serve: workers=%zu queue=%zu "
-                    "prove-threads=%zu (keys prewarmed)\n",
-                    service.config().workers,
-                    service.config().queueCapacity,
-                    service.config().proveThreads);
-        std::fflush(stdout);
-
-        t_start = wallNow();
-        for (std::size_t c = 0; c < opt.clients; ++c)
-            clients.emplace_back([&, c] {
-                clientLoopInproc(service, mix, opt, ctl, c,
-                                 stats[c]);
-            });
-        if (opt.requests == 0) {
-            std::this_thread::sleep_for(std::chrono::duration<double>(
-                opt.seconds));
-            ctl.stop.store(true);
-        }
-        for (auto& t : clients)
-            t.join();
-        elapsed = wallNow() - t_start;
-        service.drain();
-        server = scrapeInproc(service);
-    } else {
-        // A daemon that died mid-exchange must yield an EPIPE write
-        // error (counted as a failure), not kill the load generator.
-        std::signal(SIGPIPE, SIG_IGN);
-        t_start = wallNow();
-        for (std::size_t c = 0; c < opt.clients; ++c)
-            clients.emplace_back([&, c] {
-                clientLoopSocket(mix, opt, ctl, c, stats[c],
-                                 connect_failed);
-            });
-        if (opt.requests == 0) {
-            std::this_thread::sleep_for(std::chrono::duration<double>(
-                opt.seconds));
-            ctl.stop.store(true);
-        }
-        for (auto& t : clients)
-            t.join();
-        elapsed = wallNow() - t_start;
-        if (connect_failed.load()) {
-            std::fprintf(stderr,
-                         "bench_serve: cannot connect to %s\n",
-                         opt.socketPath.c_str());
-            return 1;
-        }
-        std::string server_json;
-        if (scrapeStatsV2Socket(opt.socketPath, server_json))
-            server = parseStatsV2Json(server_json);
-        if (!server.ok)
-            std::fprintf(stderr,
-                         "bench_serve: warning — stats/v2 scrape of "
-                         "%s failed; no server-side entries\n",
-                         opt.socketPath.c_str());
+    // A daemon that died mid-exchange must yield an EPIPE write error
+    // (counted as a failure), not kill the load generator.
+    std::signal(SIGPIPE, SIG_IGN);
+    const double t_start = wallNow();
+    for (std::size_t c = 0; c < opt.clients; ++c)
+        clients.emplace_back([&, c] {
+            clientLoopSocket(mix, opt, ctl, c, stats[c], connect_failed);
+        });
+    if (opt.requests == 0) {
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(opt.seconds));
+        ctl.stop.store(true);
     }
+    for (auto& t : clients)
+        t.join();
+    const double elapsed = wallNow() - t_start;
+    if (connect_failed.load()) {
+        std::fprintf(stderr, "bench_serve: cannot connect to %s\n",
+                     opt.socketPath.c_str());
+        return 1;
+    }
+    std::string server_json;
+    ServerScrape server;
+    if (scrapeStatsV2Socket(opt.socketPath, server_json))
+        server = parseStatsV2Json(server_json);
 
     ClientStats total;
     for (const auto& s : stats) {
@@ -897,19 +636,6 @@ main(int argc, char** argv)
         total.failures += s.failures;
         total.completed += s.completed;
     }
-
-    std::vector<LatencyEntry> entries;
-    appendLatencyEntries(entries, "prove", total.proveLatency, opt);
-    appendLatencyEntries(entries, "verify", total.verifyLatency, opt);
-    // Per-priority breakdown. The load mix is fixed — proves are
-    // Interactive, verifies are Batch — so the per-priority series
-    // are the per-kind series under their scheduling-class names, so
-    // a priority inversion shows by name in the results.
-    appendLatencyEntries(entries, "prove_interactive",
-                         total.proveLatency, opt);
-    appendLatencyEntries(entries, "verify_batch", total.verifyLatency,
-                         opt);
-    appendServerEntries(entries, server, opt);
 
     TextTable table;
     table.setHeader(
@@ -932,20 +658,6 @@ main(int argc, char** argv)
                       fmtSeconds(sum / (double)samples.size())});
     }
     bench::printTable("serve latency (closed loop)", table);
-    if (server.ok) {
-        TextTable stable;
-        stable.setHeader(
-            {"server lane", "count", "p50", "p99", "p999"});
-        for (const auto& lane : server.lanes) {
-            if (lane.count == 0)
-                continue;
-            stable.addRow({lane.kind + "/" + lane.priority,
-                           std::to_string(lane.count),
-                           fmtSeconds(lane.p50), fmtSeconds(lane.p99),
-                           fmtSeconds(lane.p999)});
-        }
-        bench::printTable("serve latency (server lifecycle)", stable);
-    }
     std::printf("bench_serve: completed=%llu failed=%llu "
                 "queue_full_retries=%llu elapsed=%.2fs "
                 "throughput=%.2f req/s\n",
@@ -953,15 +665,25 @@ main(int argc, char** argv)
                 (unsigned long long)total.failures,
                 (unsigned long long)total.queueFullRetries, elapsed,
                 elapsed > 0 ? (double)total.completed / elapsed : 0);
-
-    const std::string json =
-        serveJson(opt, mix_label, total, elapsed, entries);
-    if (!writeFile(opt.outPath, json)) {
-        std::fprintf(stderr, "bench_serve: cannot write %s\n",
-                     opt.outPath.c_str());
+    // A daemon that served the load but cannot report it has a broken
+    // stats op; without the scrape there is nothing to cross-check.
+    if (!server.ok) {
+        std::fprintf(stderr,
+                     "bench_serve: FAILED — stats/v2 scrape of %s after "
+                     "the load run failed\n",
+                     opt.socketPath.c_str());
         return 1;
     }
-    std::printf("bench_serve: wrote %s\n", opt.outPath.c_str());
+    TextTable stable;
+    stable.setHeader({"server lane", "count", "p50", "p99", "p999"});
+    for (const auto& lane : server.lanes) {
+        if (lane.count == 0)
+            continue;
+        stable.addRow({lane.kind + "/" + lane.priority,
+                       std::to_string(lane.count), fmtSeconds(lane.p50),
+                       fmtSeconds(lane.p99), fmtSeconds(lane.p999)});
+    }
+    bench::printTable("serve latency (server lifecycle)", stable);
 
     if (total.failures > 0) {
         std::fprintf(stderr,
@@ -970,8 +692,7 @@ main(int argc, char** argv)
                      (unsigned long long)total.failures);
         return 1;
     }
-    if (server.ok &&
-        crossCheckServer(server, total.proveLatency,
+    if (crossCheckServer(server, total.proveLatency,
                          total.verifyLatency) > 0)
         return 1;
     return 0;

@@ -45,8 +45,10 @@
  * drain a final metrics snapshot is flushed to the metrics file (or
  * stderr when none was configured), so a supervised daemon never dies
  * without handing over its telemetry.
- * Set ZKP_TRACE / ZKP_REPORT to capture daemon traffic in traces and
- * run reports like any bench run.
+ * Set ZKP_TRACE / ZKP_REPORT to capture the daemon's serve_prove /
+ * serve_verify / serve_key_build spans in traces and run reports like
+ * any bench run; per-request quantities live in the stats/v2
+ * document.
  */
 
 #include <atomic>
@@ -472,14 +474,15 @@ main(int argc, char** argv)
         metrics_thread.join();
 
     // Final telemetry handover: after the drain every request has
-    // settled, so this snapshot is the complete record of the run.
-    const std::string final_snapshot = service.statsJson();
+    // settled, so this snapshot is the complete record of the run;
+    // the exit line below reads the same snapshot.
+    const serve::ServiceStatsSnapshot s = service.snapshotStats();
+    const std::string final_snapshot = serve::statsJson(s);
     if (!metrics_file.empty())
         writeSnapshotFile(metrics_file, final_snapshot);
     else
         std::fprintf(stderr, "%s\n", final_snapshot.c_str());
 
-    const serve::ProofService::Stats s = service.stats();
     std::printf("zkperfd: done. accepted=%llu completed=%llu "
                 "queue_full=%llu deadline=%llu canceled=%llu "
                 "cache{builds=%llu hits=%llu evictions=%llu}\n",

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/memprof.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace zkp::serve {
@@ -31,10 +30,6 @@ KeyCache::~KeyCache()
 KeyCache::Artifact
 KeyCache::getOrBuild(const std::string& key, const Builder& build)
 {
-    static obs::Counter& hits = obs::counter("serve.key_cache.hits");
-    static obs::Counter& misses =
-        obs::counter("serve.key_cache.misses");
-
     std::shared_future<Built> future;
     bool leader = false;
     std::promise<Built> promise;
@@ -44,11 +39,9 @@ KeyCache::getOrBuild(const std::string& key, const Builder& build)
         if (it != entries_.end()) {
             it->second.lastUse = ++tick_;
             ++hits_;
-            hits.add();
             future = it->second.future;
         } else {
             ++misses_;
-            misses.add();
             leader = true;
             Entry e;
             future = e.future =
@@ -66,8 +59,6 @@ KeyCache::getOrBuild(const std::string& key, const Builder& build)
 
     // Singleflight leader: build outside the lock so other keys (and
     // waiters of this one) are not serialized behind setup work.
-    static obs::Histogram& buildTime =
-        obs::histogram("serve.key_build_us");
     const auto buildStart = std::chrono::steady_clock::now();
     Built built;
     try {
@@ -106,7 +97,6 @@ KeyCache::getOrBuild(const std::string& key, const Builder& build)
                 std::chrono::steady_clock::now() - buildStart)
                 .count();
         buildMicros_ += us;
-        buildTime.record(us);
         evictLocked(key);
     }
     promise.set_value(built);
@@ -116,8 +106,6 @@ KeyCache::getOrBuild(const std::string& key, const Builder& build)
 void
 KeyCache::evictLocked(const std::string& keep)
 {
-    static obs::Counter& evicted =
-        obs::counter("serve.key_cache.evictions");
     if (capacityBytes_ == 0)
         return;
     while (bytes_ > capacityBytes_) {
@@ -135,7 +123,6 @@ KeyCache::evictLocked(const std::string& keep)
         accountBytes(-(std::int64_t)victim->second.bytes);
         entries_.erase(victim);
         ++evictions_;
-        evicted.add();
     }
 }
 

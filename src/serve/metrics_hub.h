@@ -4,7 +4,12 @@
  * proof-serving subsystem.
  *
  * Every completed (or shed) request is attributed to a *lane* keyed
- * by (op kind, priority, circuit id). A lane is a fixed set of
+ * by (op kind, priority, circuit id). The lanes are the service's
+ * only record of per-request quantities: the service-level totals in
+ * ServiceStatsSnapshot (completed, rejected_queue_full,
+ * deadline_exceeded, canceled) are sums over the lanes, and the
+ * stage histograms tile a request with no gap (queue wait + key wait
+ * + exec + serialize = arrive → serialized). A lane is a fixed set of
  * lock-free streaming instruments — log2 histograms (obs/metrics.h)
  * for queue wait, key-load wait, execution, serialization, end-to-end
  * latency, deadline slack and verify-batch size, plus counters for
@@ -52,7 +57,7 @@ class MetricsHub
      */
     struct Lane
     {
-        obs::Histogram queueWaitUs;     ///< admitted → dequeued
+        obs::Histogram queueWaitUs;     ///< arrive → dequeued
         obs::Histogram keyWaitUs;       ///< dequeued → key-ready
         obs::Histogram execUs;          ///< key-ready → executed
         obs::Histogram serializeUs;     ///< executed → serialized
@@ -110,6 +115,7 @@ class MetricsHub
 struct ServiceStatsSnapshot
 {
     std::uint64_t accepted = 0;
+    /// Sums over `lanes` of completed / shed / deadlineMiss / canceled.
     std::uint64_t completed = 0;
     std::uint64_t rejectedQueueFull = 0;
     std::uint64_t deadlineExceeded = 0;

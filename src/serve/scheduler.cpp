@@ -1,15 +1,6 @@
 #include "serve/scheduler.h"
 
-#include "obs/metrics.h"
-
 namespace zkp::serve {
-
-void
-RequestQueue::updateDepthGaugeLocked() const
-{
-    static obs::Gauge& depth = obs::gauge("serve.queue_depth");
-    depth.set((double)(interactive_.size() + batch_.size()));
-}
 
 RequestQueue::PushResult
 RequestQueue::tryPush(std::unique_ptr<Job>& job)
@@ -24,7 +15,6 @@ RequestQueue::tryPush(std::unique_ptr<Job>& job)
                       ? interactive_
                       : batch_;
         q.push_back(std::move(job));
-        updateDepthGaugeLocked();
     }
     cv_.notify_one();
     return PushResult::Accepted;
@@ -43,7 +33,6 @@ RequestQueue::pop()
     auto job = std::move(q.front());
     q.pop_front();
     job->tl.dequeued = Timeline::Clock::now();
-    updateDepthGaugeLocked();
     return job;
 }
 
@@ -66,7 +55,6 @@ RequestQueue::takeVerifyBatch(const std::string& circuit,
             }
         }
     }
-    updateDepthGaugeLocked();
     return out;
 }
 
@@ -90,7 +78,6 @@ RequestQueue::drainAll()
             out.push_back(std::move(j));
         q->clear();
     }
-    updateDepthGaugeLocked();
     return out;
 }
 

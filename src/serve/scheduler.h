@@ -122,8 +122,6 @@ class RequestQueue
     bool closed() const;
 
   private:
-    void updateDepthGaugeLocked() const;
-
     mutable std::mutex mu_;
     std::condition_variable cv_;
     std::deque<std::unique_ptr<Job>> interactive_;

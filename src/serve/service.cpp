@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "obs/memprof.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace zkp::serve {
@@ -15,10 +14,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-obs::u64
+std::uint64_t
 toMicros(double seconds)
 {
-    return seconds <= 0 ? 0 : (obs::u64)(seconds * 1e6);
+    return seconds <= 0 ? 0 : (std::uint64_t)(seconds * 1e6);
 }
 
 } // namespace
@@ -115,9 +114,6 @@ ProofService::enqueue(std::unique_ptr<Job> job, RequestOptions opts)
     ticket.cancelFlag = job->cancelled;
     ticket.result = job->promise.get_future();
 
-    static obs::Counter& submitted = obs::counter("serve.submitted");
-    submitted.add();
-
     if (!findHost(job->circuit)) {
         settle(*job, Status::UnknownCircuit);
         return ticket;
@@ -135,7 +131,6 @@ ProofService::enqueue(std::unique_ptr<Job> job, RequestOptions opts)
         break;
       case RequestQueue::PushResult::Full:
         accepted_.fetch_sub(1, std::memory_order_relaxed);
-        rejectedQueueFull_.fetch_add(1, std::memory_order_relaxed);
         settle(*job, Status::QueueFull);
         break;
       case RequestQueue::PushResult::Closed:
@@ -179,27 +174,17 @@ ProofService::submitVerify(const std::string& circuit,
 void
 ProofService::settle(Job& job, Status status)
 {
-    static obs::Counter& queueFull =
-        obs::counter("serve.rejected.queue_full");
-    static obs::Counter& deadline =
-        obs::counter("serve.deadline_exceeded");
-    static obs::Counter& cancels = obs::counter("serve.canceled");
     const OpKind kind =
         job.kind == Job::Kind::Prove ? OpKind::Prove : OpKind::Verify;
     switch (status) {
       case Status::QueueFull:
-        queueFull.add();
         hub_.lane(kind, job.priority, job.circuit).shed.add();
         break;
       case Status::DeadlineExceeded:
-        deadline.add();
-        deadlineExceeded_.fetch_add(1, std::memory_order_relaxed);
         hub_.lane(kind, job.priority, job.circuit)
             .deadlineMiss.add();
         break;
       case Status::Canceled:
-        cancels.add();
-        canceled_.fetch_add(1, std::memory_order_relaxed);
         hub_.lane(kind, job.priority, job.circuit).canceled.add();
         break;
       default:
@@ -272,8 +257,6 @@ void
 ProofService::executeProve(Job& job)
 {
     ZKP_TRACE_SCOPE("serve_prove", "rid", job.id);
-    static obs::Counter& completions =
-        obs::counter("serve.completed.prove");
 
     Response r;
     const CircuitHost* host = findHost(job.circuit);
@@ -308,7 +291,6 @@ ProofService::executeProve(Job& job)
         job.allocBytes =
             obs::memprof::threadStats().allocBytes - allocStart;
     job.tl.executed = Clock::now();
-    completions.add();
     finishAndReply(job, std::move(r));
 }
 
@@ -317,10 +299,6 @@ ProofService::executeVerifyGroup(
     std::vector<std::unique_ptr<Job>>& group)
 {
     ZKP_TRACE_SCOPE("serve_verify", "rid", group.front()->id);
-    static obs::Counter& completions =
-        obs::counter("serve.completed.verify");
-    static obs::Histogram& batchSizes =
-        obs::histogram("serve.verify_batch");
 
     // Late-arriving members still get their own deadline/cancel gate;
     // admitForExecution settles the ones that fail it.
@@ -366,7 +344,6 @@ ProofService::executeVerifyGroup(
             ? (obs::memprof::threadStats().allocBytes - allocStart) /
                   live.size()
             : 0;
-    batchSizes.record(items.size());
 
     for (std::size_t i = 0; i < live.size(); ++i) {
         Job& j = *live[i];
@@ -377,7 +354,6 @@ ProofService::executeVerifyGroup(
         r.status = items[i].status;
         r.valid = items[i].valid;
         r.batchSize = (std::uint32_t)items.size();
-        completions.add();
         finishAndReply(j, std::move(r));
     }
 }
@@ -385,11 +361,6 @@ ProofService::executeVerifyGroup(
 void
 ProofService::finishAndReply(Job& job, Response&& r)
 {
-    static obs::Histogram& latency =
-        obs::histogram("serve.latency_us");
-    static obs::Histogram& queueWait =
-        obs::histogram("serve.queue_wait_us");
-
     job.tl.serialized = Clock::now();
     job.tl.replied = Clock::now();
 
@@ -402,25 +373,19 @@ ProofService::finishAndReply(Job& job, Response&& r)
     r.serializeSeconds =
         Timeline::seconds(job.tl.executed, job.tl.serialized);
 
-    if (r.status == Status::Ok)
-        completed_.fetch_add(1, std::memory_order_relaxed);
-    else if (r.status == Status::InvalidRequest)
+    if (r.status == Status::InvalidRequest)
         invalid_.fetch_add(1, std::memory_order_relaxed);
-
-    const double e2e =
-        Timeline::seconds(job.tl.arrive, job.tl.replied);
-    queueWait.record(toMicros(r.queueSeconds));
-    latency.record(toMicros(e2e));
 
     const OpKind kind =
         job.kind == Job::Kind::Prove ? OpKind::Prove : OpKind::Verify;
     MetricsHub::Lane& lane = hub_.lane(kind, job.priority, job.circuit);
-    lane.queueWaitUs.record(
-        toMicros(Timeline::seconds(job.tl.admitted, job.tl.dequeued)));
+    // queue + key + exec + serialize tile arrive → serialized.
+    lane.queueWaitUs.record(toMicros(r.queueSeconds));
     lane.keyWaitUs.record(toMicros(r.keyWaitSeconds));
     lane.execUs.record(toMicros(r.execSeconds));
     lane.serializeUs.record(toMicros(r.serializeSeconds));
-    lane.e2eUs.record(toMicros(e2e));
+    lane.e2eUs.record(
+        toMicros(Timeline::seconds(job.tl.arrive, job.tl.replied)));
     if (job.deadline != Clock::time_point::max()) {
         const double slack =
             std::chrono::duration<double>(job.deadline - job.tl.replied)
@@ -482,37 +447,18 @@ ProofService::shutdown()
     stopped_.store(true, std::memory_order_release);
 }
 
-ProofService::Stats
-ProofService::stats() const
-{
-    Stats s;
-    s.accepted = accepted_.load(std::memory_order_relaxed);
-    s.completed = completed_.load(std::memory_order_relaxed);
-    s.rejectedQueueFull =
-        rejectedQueueFull_.load(std::memory_order_relaxed);
-    s.deadlineExceeded =
-        deadlineExceeded_.load(std::memory_order_relaxed);
-    s.canceled = canceled_.load(std::memory_order_relaxed);
-    s.invalid = invalid_.load(std::memory_order_relaxed);
-    s.keylessServes =
-        keylessServes_.load(std::memory_order_relaxed);
-    s.queueDepth = queue_.depth();
-    s.workers = workers_.size();
-    s.cache = cache_.stats();
-    return s;
-}
-
 ServiceStatsSnapshot
 ProofService::snapshotStats() const
 {
     ServiceStatsSnapshot s;
+    s.lanes = hub_.snapshotLanes();
+    for (const auto& lane : s.lanes) {
+        s.completed += lane.completed;
+        s.rejectedQueueFull += lane.shed;
+        s.deadlineExceeded += lane.deadlineMiss;
+        s.canceled += lane.canceled;
+    }
     s.accepted = accepted_.load(std::memory_order_relaxed);
-    s.completed = completed_.load(std::memory_order_relaxed);
-    s.rejectedQueueFull =
-        rejectedQueueFull_.load(std::memory_order_relaxed);
-    s.deadlineExceeded =
-        deadlineExceeded_.load(std::memory_order_relaxed);
-    s.canceled = canceled_.load(std::memory_order_relaxed);
     s.invalid = invalid_.load(std::memory_order_relaxed);
     s.keylessServes =
         keylessServes_.load(std::memory_order_relaxed);
@@ -531,7 +477,6 @@ ProofService::snapshotStats() const
     s.rssBytes = obs::memprof::rssBytes();
     s.peakRssBytes = obs::memprof::peakRssBytes();
     s.trackedBytes = obs::memprof::trackedTotalBytes();
-    s.lanes = hub_.snapshotLanes();
     return s;
 }
 

@@ -29,16 +29,15 @@
  * Observability: every request carries a service-assigned id and a
  * lifecycle Timeline (arrive → admitted → dequeued → key-ready →
  * executed → serialized → replied; serve/types.h) stamped as it moves
- * through the queue, key cache and workers. Completions aggregate
- * into the MetricsHub (serve/metrics_hub.h) — per-(kind, priority,
- * circuit) lane histograms scraped by snapshotStats()/statsJson()
- * and the stats/v2 wire op. Stages are also span-traced
- * ("serve_prove"/"serve_verify" carry the request id as the "rid"
- * argument, so ZKP_TRACE shows request lanes next to kernel lanes)
- * and metered (serve.* counters, serve.queue_depth gauge,
- * serve.latency_us / serve.queue_wait_us histograms), so daemon
- * traffic shows up in ZKP_TRACE traces and ZKP_REPORT run reports
- * like any bench run.
+ * through the queue, key cache and workers. The MetricsHub
+ * (serve/metrics_hub.h) is the one record of every per-request
+ * quantity: each settled request lands in its per-(kind, priority,
+ * circuit) lane, and snapshotStats()/statsJson() and the stats/v2
+ * wire op derive the service totals (completed, shed, deadline
+ * misses, cancels) by summing the lanes. Execution is also
+ * span-traced ("serve_prove"/"serve_verify" carry the request id as
+ * the "rid" argument, so ZKP_TRACE shows request lanes next to
+ * kernel lanes, and ZKP_REPORT lists the spans like any bench run).
  *
  * Tuning knobs (flags take precedence over environment):
  *   ZKP_SERVE_THREADS  service worker count (default 2)
@@ -92,8 +91,8 @@ struct CircuitHost
      * artifact, so requests bypass the key cache entirely — no entry
      * is created, `build` is never invoked, and prove/verify receive
      * a null artifact pointer. Keyless executions are counted
-     * separately (Stats::keylessServes) so a scrape can tell "scheme
-     * needs no key" apart from a cache miss.
+     * separately (ServiceStatsSnapshot::keylessServes) so a scrape
+     * can tell "scheme needs no key" apart from a cache miss.
      */
     bool needsKey = true;
     /// Compile + setup; runs once per cache residency (singleflight).
@@ -157,22 +156,6 @@ class ProofService
         std::shared_ptr<std::atomic<bool>> cancelFlag;
     };
 
-    struct Stats
-    {
-        std::uint64_t accepted = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t rejectedQueueFull = 0;
-        std::uint64_t deadlineExceeded = 0;
-        std::uint64_t canceled = 0;
-        std::uint64_t invalid = 0;
-        /// Executions that bypassed the key cache because the host's
-        /// scheme is transparent (needsKey == false). Not a miss.
-        std::uint64_t keylessServes = 0;
-        std::size_t queueDepth = 0;
-        std::size_t workers = 0;
-        KeyCache::Stats cache;
-    };
-
     explicit ProofService(ServiceConfig cfg = {});
 
     /** Shuts down (failing queued requests) if still running. */
@@ -217,21 +200,18 @@ class ProofService
      */
     void shutdown();
 
-    Stats stats() const;
-
     /**
      * Full telemetry scrape: service counters/gauges, cache stats,
      * and every MetricsHub lane (per-(kind, priority, circuit)
-     * lifecycle histograms). Safe to call concurrently with traffic.
+     * lifecycle histograms). The completed/shed/deadline/cancel
+     * totals are sums over the lanes of the same snapshot. Safe to
+     * call concurrently with traffic.
      */
     ServiceStatsSnapshot snapshotStats() const;
 
     /** snapshotStats() rendered as zkperf-serve-stats/2 JSON — the
      *  document the stats/v2 wire op and zkperfd snapshots carry. */
     std::string statsJson() const;
-
-    /** The request-lane metrics hub (snapshotLanes() for scrapes). */
-    const MetricsHub& metrics() const { return hub_; }
 
     const ServiceConfig& config() const { return cfg_; }
 
@@ -240,7 +220,8 @@ class ProofService
     void workerLoop(std::size_t index);
     void executeProve(Job& job);
     void executeVerifyGroup(std::vector<std::unique_ptr<Job>>& group);
-    /// Resolve a job without executing it (reject/cancel paths).
+    /// Resolve a job without executing it (reject/cancel paths),
+    /// counting it in its lane.
     void settle(Job& job, Status status);
     /// Stamp replied, copy lifecycle into @p r, record the lane
     /// histograms, and fulfil the promise. Every executed request
@@ -272,11 +253,9 @@ class ProofService
     std::size_t inFlight_ = 0;
 
     std::atomic<std::uint64_t> nextRequestId_{1};
+    /// Service-level counts with no lane equivalent. Completions,
+    /// sheds, deadline misses and cancels live only in hub_.
     std::atomic<std::uint64_t> accepted_{0};
-    std::atomic<std::uint64_t> completed_{0};
-    std::atomic<std::uint64_t> rejectedQueueFull_{0};
-    std::atomic<std::uint64_t> deadlineExceeded_{0};
-    std::atomic<std::uint64_t> canceled_{0};
     std::atomic<std::uint64_t> invalid_{0};
     std::atomic<std::uint64_t> keylessServes_{0};
 };

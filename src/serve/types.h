@@ -149,7 +149,8 @@ struct Response
     bool valid = false;
     /// Framed serialized proof (prove requests with Ok).
     std::vector<std::uint8_t> proof;
-    /// Seconds the request waited in the queue.
+    /// Seconds from arrive to dequeued: submit-time checks plus the
+    /// wait in the queue (the lane's queue_wait_us).
     double queueSeconds = 0;
     /// Seconds spent executing (proving or verifying).
     double execSeconds = 0;

@@ -120,7 +120,7 @@ TEST(ProofService, ConcurrentRequestsShareOneKeyBuild)
     for (auto& t : tickets)
         EXPECT_EQ(t.result.get().status, Status::Ok);
     // Singleflight: six concurrent cold requests, one setup.
-    EXPECT_EQ(service.stats().cache.builds, 1u);
+    EXPECT_EQ(service.snapshotStats().cache.builds, 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -201,7 +201,7 @@ TEST(ProofService, QueueFullBackpressure)
     // ...third must bounce with explicit backpressure, immediately.
     auto t3 = service.submitProve("latch", {3}, {});
     EXPECT_EQ(t3.result.get().status, Status::QueueFull);
-    EXPECT_EQ(service.stats().rejectedQueueFull, 1u);
+    EXPECT_EQ(service.snapshotStats().rejectedQueueFull, 1u);
 
     ctl->release();
     EXPECT_EQ(t1.result.get().status, Status::Ok);
@@ -275,7 +275,7 @@ TEST(ProofService, DeadlineExpiresWhileQueued)
 
     EXPECT_EQ(t0.result.get().status, Status::Ok);
     EXPECT_EQ(t1.result.get().status, Status::DeadlineExceeded);
-    EXPECT_EQ(service.stats().deadlineExceeded, 1u);
+    EXPECT_EQ(service.snapshotStats().deadlineExceeded, 1u);
 }
 
 TEST(ProofService, CancelBeforeExecution)
@@ -293,7 +293,7 @@ TEST(ProofService, CancelBeforeExecution)
 
     EXPECT_EQ(t0.result.get().status, Status::Ok);
     EXPECT_EQ(t1.result.get().status, Status::Canceled);
-    EXPECT_EQ(service.stats().canceled, 1u);
+    EXPECT_EQ(service.snapshotStats().canceled, 1u);
 }
 
 TEST(ProofService, QueuedVerifiesSettleAsOneBatch)
@@ -337,7 +337,7 @@ TEST(ProofService, DrainCompletesEverythingThenRejects)
     service.drain();
     for (auto& t : tickets)
         EXPECT_EQ(t.result.get().status, Status::Ok);
-    EXPECT_EQ(service.stats().completed, 8u);
+    EXPECT_EQ(service.snapshotStats().completed, 8u);
 
     auto [pub, priv] = expInputs(600);
     EXPECT_EQ(service.submitProve("exp6", pub, priv).result.get()
@@ -588,31 +588,84 @@ TEST(Telemetry, SnapshotStatsAndJsonReflectTraffic)
             << "missing " << field << " in " << json.substr(0, 400);
 }
 
+TEST(Telemetry, QueueWaitIsArriveToDequeued)
+{
+    auto ctl = std::make_shared<HostControl>();
+    ctl->release(); // proves return at once
+    ProofService service(testConfig(1, 8));
+    service.registerCircuit(makeLatchHost("latch", ctl));
+
+    // One prove at a time, so each lane delta is that prove's record.
+    // Arrive → admitted is often under a microsecond, so one prove
+    // alone may not tell it apart from admitted → dequeued; 64 do.
+    std::uint64_t queueSum = 0;
+    for (std::uint8_t i = 0; i < 64; ++i) {
+        const Response r =
+            service.submitProve("latch", {i}, {}).result.get();
+        ASSERT_EQ(r.status, Status::Ok);
+        const ServiceStatsSnapshot snap = service.snapshotStats();
+        ASSERT_EQ(snap.lanes.size(), 1u);
+        const MetricsHub::LaneSnapshot& lane = snap.lanes[0];
+        // One definition of queue wait: the lane records exactly what
+        // the response (and the wire's queueMicros) reports.
+        queueSum += (std::uint64_t)(r.queueSeconds * 1e6);
+        ASSERT_EQ(lane.queueWaitUs.sum, queueSum) << "prove " << +i;
+        // The four stages tile arrive → serialized, inside
+        // arrive → replied.
+        ASSERT_LE(lane.queueWaitUs.sum + lane.keyWaitUs.sum +
+                      lane.execUs.sum + lane.serializeUs.sum,
+                  lane.e2eUs.sum);
+    }
+}
+
 TEST(Telemetry, ShedAndDeadlineLandInLaneCounters)
 {
-    // Single worker + capacity-1 queue: park a job on the worker,
-    // fill the queue, and bounce a third — then read the lanes.
+    // Single worker + capacity-3 queue: park a job on the worker, queue
+    // one request that will expire, one that is canceled and one that
+    // runs, bounce a fifth off the full queue — then read the lanes.
     auto ctl = std::make_shared<HostControl>();
-    ProofService service(testConfig(1, 1));
+    ProofService service(testConfig(1, 3));
     service.registerCircuit(makeLatchHost("latch", ctl));
 
     auto first = service.submitProve("latch", {1}, {});
     ctl->awaitStarts(1); // worker busy; queue empty
 
-    auto queued = service.submitProve("latch", {2}, {});
-    auto shed = service.submitProve("latch", {3}, {});
+    RequestOptions expiring;
+    expiring.timeoutSeconds = 0.05;
+    auto expired = service.submitProve("latch", {2}, {}, expiring);
+    auto canceled = service.submitProve("latch", {3}, {});
+    canceled.cancel();
+    auto queued = service.submitProve("latch", {4}, {});
+    auto shed = service.submitProve("latch", {5}, {});
     const Response shedResp = shed.result.get();
     EXPECT_EQ(shedResp.status, Status::QueueFull);
 
+    std::this_thread::sleep_for(std::chrono::milliseconds(120));
     ctl->release();
     ASSERT_EQ(first.result.get().status, Status::Ok);
+    ASSERT_EQ(expired.result.get().status, Status::DeadlineExceeded);
+    ASSERT_EQ(canceled.result.get().status, Status::Canceled);
     ASSERT_EQ(queued.result.get().status, Status::Ok);
 
     const ServiceStatsSnapshot snap = service.snapshotStats();
     ASSERT_EQ(snap.lanes.size(), 1u);
     EXPECT_EQ(snap.lanes[0].shed, 1u);
     EXPECT_EQ(snap.lanes[0].completed, 2u);
-    EXPECT_EQ(snap.rejectedQueueFull, 1u);
+    EXPECT_EQ(snap.lanes[0].deadlineMiss, 1u);
+    EXPECT_EQ(snap.lanes[0].canceled, 1u);
+
+    // Each service total is the sum of its lane counter.
+    std::uint64_t completed = 0, shedSum = 0, missed = 0, cancels = 0;
+    for (const auto& lane : snap.lanes) {
+        completed += lane.completed;
+        shedSum += lane.shed;
+        missed += lane.deadlineMiss;
+        cancels += lane.canceled;
+    }
+    EXPECT_EQ(snap.completed, completed);
+    EXPECT_EQ(snap.rejectedQueueFull, shedSum);
+    EXPECT_EQ(snap.deadlineExceeded, missed);
+    EXPECT_EQ(snap.canceled, cancels);
 }
 
 // ---------------------------------------------------------------------
@@ -658,7 +711,7 @@ TEST(StarkServing, ProveVerifyBypassesKeyCache)
 
     // The cache was never touched: no entries, no misses, no builds —
     // every execution shows up as a keyless serve instead.
-    const ProofService::Stats s = service.stats();
+    const ServiceStatsSnapshot s = service.snapshotStats();
     EXPECT_EQ(s.cache.entries, 0u);
     EXPECT_EQ(s.cache.misses, 0u);
     EXPECT_EQ(s.cache.builds, 0u);
