@@ -77,42 +77,16 @@ struct StarkObservation
 };
 
 StarkObservation
-observeStarkProve(const stark::Air& air, std::size_t threads,
-                  sim::u32 sample_mask)
+observeStarkProve(const stark::Air& air, const core::SweepConfig& cfg)
 {
-    const double scale = (double)(sample_mask + 1);
-
-    std::vector<std::unique_ptr<sim::CacheHierarchy>> caches;
-    std::vector<std::unique_ptr<sim::GsharePredictor>> predictors;
-    std::vector<sim::TraceSink*> sinks;
-    for (const sim::CpuModel* cpu : sim::allCpuModels()) {
-        caches.push_back(std::make_unique<sim::CacheHierarchy>(
-            cpu->makeHierarchy(2'000'000)));
-        predictors.push_back(std::make_unique<sim::GsharePredictor>(
-            cpu->name, cpu->predictorBits));
-        sinks.push_back(caches.back().get());
-        sinks.push_back(predictors.back().get());
-    }
-
+    const core::CpuSinks cpus(cfg);
     const sim::CountingScope counting;
     sim::drainWorkerCounters();
     const sim::Counters before = sim::counters();
-    (void)stark::prove(air, benchParams(), threads, sinks,
-                       sample_mask);
+    (void)stark::prove(air, benchParams(), cfg.threads, cpus.sinks(),
+                       cfg.sampleMask);
     sim::drainWorkerCounters();
-
-    StarkObservation obs;
-    obs.counters =
-        stark::starkCountersDelta(before, sim::counters());
-    const auto& models = sim::allCpuModels();
-    for (std::size_t i = 0; i < models.size(); ++i) {
-        core::CpuObservation c;
-        c.cpu = models[i];
-        c.llcLoadMisses =
-            (double)caches[i]->llcLoadMisses() * scale;
-        obs.cpus.push_back(c);
-    }
-    return obs;
+    return {sim::counters() - before, cpus.observations()};
 }
 
 int
@@ -120,7 +94,9 @@ runMix()
 {
     sim::installWorkerMergeHook();
     const std::size_t n = sweepSizes().back();
-    const sim::u32 mask = sampleMask();
+    core::SweepConfig cfg;
+    cfg.sizes = {n};
+    cfg.sampleMask = sampleMask();
 
     TextTable table;
     table.setHeader({"prover", "comp%", "ctrl%", "data%",
@@ -163,8 +139,7 @@ runMix()
 
     for (const char* name : {"fib", "mimc"}) {
         const auto air = makeAir(name, n);
-        const StarkObservation obs =
-            observeStarkProve(*air, 1, mask);
+        const StarkObservation obs = observeStarkProve(*air, cfg);
         addRow(std::string("stark ") + name + " 2^" +
                    std::to_string(log2Of(n)),
                obs.counters, obs.cpus);
@@ -173,9 +148,6 @@ runMix()
     // The SNARK contrast: the Groth16 proving stage at the same size,
     // observed through the identical cache/counter machinery.
     {
-        core::SweepConfig cfg;
-        cfg.sizes = {n};
-        cfg.sampleMask = mask;
         core::StageRunner<snark::Bn254> runner(n);
         const core::StageObservation obs = core::observeStage(
             runner, core::Stage::Proving, cfg);

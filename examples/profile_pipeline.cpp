@@ -36,6 +36,7 @@
 #include "core/analysis.h"
 #include "obs/memprof.h"
 #include "obs/pmu.h"
+#include "obs/report.h"
 #include "r1cs/zoo.h"
 #include "snark/curve.h"
 
@@ -167,8 +168,11 @@ main(int argc, char** argv)
     TextTable memReport;
     memReport.setHeader({"stage", "peak RSS Δ", "RSS Δ", "allocated",
                          "allocs", "live Δ", "top site"});
+    core::StageRun proving;
     for (core::Stage s : core::kAllStages) {
         auto obs = core::observeStage(runner, s, cfg);
+        if (s == core::Stage::Proving)
+            proving = obs.run;
         {
             const auto& m = obs.run.mem;
             std::string topSite = "-";
@@ -239,12 +243,11 @@ main(int argc, char** argv)
     }
 
     std::printf("hot functions in the proving stage:\n");
-    auto prove = runner.run(core::Stage::Proving, cfg.threads);
-    for (const auto& f : core::attributeFunctions(prove, 4))
+    for (const auto& f : core::attributeFunctions(proving, 4))
         std::printf("  %-28s %5.1f%%\n", f.function.c_str(), f.pct);
 
     if (!json_path.empty()) {
-        if (core::writeRunReport(json_path))
+        if (obs::writeRunReport(json_path))
             std::printf("\nrun report written to %s\n",
                         json_path.c_str());
         else

@@ -2,14 +2,44 @@
 
 #include <algorithm>
 
-#include "obs/report.h"
-
 namespace zkp::core {
 
-bool
-writeRunReport(const std::string& path)
+CpuSinks::CpuSinks(const SweepConfig& cfg)
+    : scale_((double)(cfg.sampleMask + 1)),
+      windowInstr_(cfg.bandwidthWindowInstr)
 {
-    return obs::writeRunReport(path);
+    for (const sim::CpuModel* cpu : sim::allCpuModels()) {
+        caches_.push_back(std::make_unique<sim::CacheHierarchy>(
+            cpu->makeHierarchy(windowInstr_)));
+        predictors_.push_back(std::make_unique<sim::GsharePredictor>(
+            cpu->name, cpu->predictorBits));
+        sinks_.push_back(caches_.back().get());
+        sinks_.push_back(predictors_.back().get());
+    }
+}
+
+std::vector<CpuObservation>
+CpuSinks::observations() const
+{
+    std::vector<CpuObservation> out;
+    const auto& models = sim::allCpuModels();
+    for (std::size_t i = 0; i < models.size(); ++i) {
+        CpuObservation c;
+        c.cpu = models[i];
+        const sim::CacheHierarchy& h = *caches_[i];
+        c.l1Misses = (double)h.l1().stats().misses * scale_;
+        c.l2Misses = (double)h.l2().stats().misses * scale_;
+        c.llcLoadMisses = (double)h.llcLoadMisses() * scale_;
+        c.llcTotalMisses =
+            (double)(h.llcLoadMisses() + h.llcStoreMisses()) * scale_;
+        c.dramBytes = (double)h.dramBytes() * scale_;
+        c.peakWindowBytes = (double)h.peakWindowBytes() * scale_;
+        c.windowInstr = windowInstr_;
+        c.branchEvents = (double)predictors_[i]->stats().events;
+        c.branchMispredicts = (double)predictors_[i]->stats().mispredicts;
+        out.push_back(c);
+    }
+    return out;
 }
 
 double

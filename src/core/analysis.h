@@ -27,14 +27,6 @@
 
 namespace zkp::core {
 
-/**
- * Write the run report accumulated by every StageRunner::run() so far
- * (one JSON record per instrumented stage execution, with counter
- * deltas and per-kernel span attribution — see obs/report.h) to
- * @p path. Returns false on I/O failure.
- */
-bool writeRunReport(const std::string& path);
-
 /** Common sweep parameters. */
 struct SweepConfig
 {
@@ -75,6 +67,31 @@ struct StageObservation
 };
 
 /**
+ * The simulated hardware of every modelled CPU, one cache hierarchy
+ * and one branch predictor each, attached as the trace sinks of one
+ * measured run: a StageRunner stage (observeStage) or a STARK prove
+ * (bench_stark --mix).
+ */
+class CpuSinks
+{
+  public:
+    explicit CpuSinks(const SweepConfig& cfg);
+
+    /** The sinks to hand to the measured run. */
+    const std::vector<sim::TraceSink*>& sinks() const { return sinks_; }
+
+    /** What each CPU saw, scaled back up by the sampling rate. */
+    std::vector<CpuObservation> observations() const;
+
+  private:
+    double scale_;
+    u64 windowInstr_;
+    std::vector<std::unique_ptr<sim::CacheHierarchy>> caches_;
+    std::vector<std::unique_ptr<sim::GsharePredictor>> predictors_;
+    std::vector<sim::TraceSink*> sinks_;
+};
+
+/**
  * Execute one stage under full instrumentation for all modelled CPUs.
  */
 template <typename Curve>
@@ -82,45 +99,14 @@ StageObservation
 observeStage(StageRunner<Curve>& runner, Stage stage,
              const SweepConfig& cfg)
 {
-    const double scale = (double)(cfg.sampleMask + 1);
-
-    std::vector<std::unique_ptr<sim::CacheHierarchy>> caches;
-    std::vector<std::unique_ptr<sim::GsharePredictor>> predictors;
-    std::vector<sim::TraceSink*> sinks;
-    for (const sim::CpuModel* cpu : sim::allCpuModels()) {
-        caches.push_back(std::make_unique<sim::CacheHierarchy>(
-            cpu->makeHierarchy(cfg.bandwidthWindowInstr)));
-        predictors.push_back(std::make_unique<sim::GsharePredictor>(
-            cpu->name, cpu->predictorBits));
-        sinks.push_back(caches.back().get());
-        sinks.push_back(predictors.back().get());
-    }
-
+    const CpuSinks sinks(cfg);
     resetParallelWorkSeconds();
     StageObservation obs;
     obs.stage = stage;
     obs.constraints = runner.constraints();
-    obs.run = runner.run(stage, cfg.threads, sinks, cfg.sampleMask);
+    obs.run = runner.run(stage, cfg.threads, sinks.sinks(), cfg.sampleMask);
     obs.parallelSeconds = parallelWorkSeconds();
-
-    const auto& models = sim::allCpuModels();
-    for (std::size_t i = 0; i < models.size(); ++i) {
-        CpuObservation c;
-        c.cpu = models[i];
-        const auto& h = *caches[i];
-        c.l1Misses = (double)h.l1().stats().misses * scale;
-        c.l2Misses = (double)h.l2().stats().misses * scale;
-        c.llcLoadMisses = (double)h.llcLoadMisses() * scale;
-        c.llcTotalMisses =
-            (double)(h.llcLoadMisses() + h.llcStoreMisses()) * scale;
-        c.dramBytes = (double)h.dramBytes() * scale;
-        c.peakWindowBytes = (double)h.peakWindowBytes() * scale;
-        c.windowInstr = cfg.bandwidthWindowInstr;
-        c.branchEvents = (double)predictors[i]->stats().events;
-        c.branchMispredicts =
-            (double)predictors[i]->stats().mispredicts;
-        obs.cpus.push_back(c);
-    }
+    obs.cpus = sinks.observations();
     return obs;
 }
 

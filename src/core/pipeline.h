@@ -19,9 +19,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/timer.h"
 #include "core/stage.h"
-#include "obs/report.h"
 #include "obs/trace.h"
 #include "r1cs/circuits.h"
 #include "r1cs/zoo.h"
@@ -29,43 +27,6 @@
 #include "snark/groth16.h"
 
 namespace zkp::core {
-
-/** Flatten a counter delta into the run report's generic pairs. */
-inline std::vector<std::pair<std::string, double>>
-counterPairs(const sim::Counters& c)
-{
-    return {
-        {"instructions", (double)c.instructions()},
-        {"compute", (double)c.compute},
-        {"control", (double)c.control},
-        {"data", (double)c.data},
-        {"loads", (double)c.loads},
-        {"stores", (double)c.stores},
-        {"branches", (double)c.branches},
-        {"imuls", (double)c.imuls},
-        {"alloc_bytes", (double)c.allocBytes},
-        {"memcpy_bytes", (double)c.memcpyBytes},
-    };
-}
-
-/** Difference of two counter snapshots (after - before). */
-inline sim::Counters
-countersDelta(const sim::Counters& before, const sim::Counters& after)
-{
-    sim::Counters d;
-    d.compute = after.compute - before.compute;
-    d.control = after.control - before.control;
-    d.data = after.data - before.data;
-    d.loads = after.loads - before.loads;
-    d.stores = after.stores - before.stores;
-    d.branches = after.branches - before.branches;
-    for (std::size_t i = 0; i < sim::kNumPrimOps; ++i)
-        d.prim[i] = after.prim[i] - before.prim[i];
-    d.imuls = after.imuls - before.imuls;
-    d.allocBytes = after.allocBytes - before.allocBytes;
-    d.memcpyBytes = after.memcpyBytes - before.memcpyBytes;
-    return d;
-}
 
 /**
  * Runs one zoo circuit's pipeline for one curve at one scale. The
@@ -139,55 +100,12 @@ class StageRunner
             ZKP_TRACE_SCOPE("prerequisites");
             ensurePrerequisites(s, threads);
         }
-
-        // Span totals before the stage, so the report can attribute
-        // only this run's kernel time (tracing enabled only).
-        std::vector<obs::SpanStat> spans_before;
-        if (obs::tracingEnabled())
-            spans_before = obs::spanAggregates();
-
         // Simulator counting is on for the measured region only; the
         // prerequisites above run uncounted.
-        std::optional<sim::CountingScope> counting(std::in_place);
-        sim::drainWorkerCounters();
-        const sim::Counters before = sim::counters();
-        // Hardware counters: drop any worker deltas accumulated by
-        // the prerequisites, then sample this thread around the
-        // measured region (workers add theirs during the region).
-        obs::pmu::Sample hw_before;
-        const bool hw_on = obs::pmu::enabled() &&
-                           (obs::pmu::drainWorkerDeltas(),
-                            obs::pmu::readThread(hw_before));
-        // Memory capture brackets exactly the measured region: RSS
-        // and peak-RSS deltas always, allocator counters and span
-        // sites when ZKP_MEMPROF=1.
-        const obs::memprof::Snapshot mem_before =
-            obs::memprof::snapshot();
-        Timer timer;
-        {
-            sim::ScopedTrace trace(std::move(sinks), sample_mask);
-            ZKP_TRACE_SCOPE(stageName(s));
-            execute(s, threads);
-        }
-        const double seconds = timer.seconds();
-        sim::drainWorkerCounters();
-        counting.reset();
-
-        StageRun out;
-        out.seconds = seconds;
-        out.counters = countersDelta(before, sim::counters());
-        out.mem = obs::memprof::stageDelta(mem_before);
-        if (hw_on) {
-            obs::pmu::Sample hw_after;
-            if (obs::pmu::readThread(hw_after)) {
-                obs::pmu::Sample d =
-                    obs::pmu::delta(hw_before, hw_after);
-                d += obs::pmu::drainWorkerDeltas();
-                out.hw = obs::pmu::deriveStats(d, seconds);
-            }
-        }
-        reportRun(s, threads, out, spans_before);
-        return out;
+        const sim::CountingScope counting;
+        return measureStage(stageName(s), Curve::kName, constraints_,
+                            threads, std::move(sinks), sample_mask,
+                            [&] { execute(s, threads); });
     }
 
     /** Last verification verdict (sanity check for the harness). */
@@ -202,53 +120,6 @@ class StageRunner
     }
 
   private:
-    /** Append this run to the process-wide run report (obs/report.h). */
-    void
-    reportRun(Stage s, std::size_t threads, const StageRun& run,
-              const std::vector<obs::SpanStat>& spans_before) const
-    {
-        obs::StageReport rep;
-        rep.stage = stageName(s);
-        rep.curve = Curve::kName;
-        rep.constraints = constraints_;
-        rep.threads = threads;
-        rep.seconds = run.seconds;
-        rep.counters = counterPairs(run.counters);
-        rep.hwAvailable = run.hw.available;
-        rep.hw = obs::pmu::statPairs(run.hw);
-        rep.mem = run.mem;
-        if (obs::tracingEnabled()) {
-            for (const obs::SpanStat& after : obs::spanAggregates()) {
-                obs::u64 prev_count = 0, prev_ns = 0;
-                obs::u64 prev_cyc = 0, prev_ins = 0;
-                obs::u64 prev_alloc = 0;
-                for (const obs::SpanStat& b : spans_before) {
-                    if (b.name == after.name) {
-                        prev_count = b.count;
-                        prev_ns = b.totalNs;
-                        prev_cyc = b.totalCycles;
-                        prev_ins = b.totalInstructions;
-                        prev_alloc = b.totalAllocBytes;
-                        break;
-                    }
-                }
-                if (after.count > prev_count) {
-                    obs::KernelStat k;
-                    k.name = after.name;
-                    k.count = after.count - prev_count;
-                    k.seconds =
-                        (double)(after.totalNs - prev_ns) / 1e9;
-                    k.hwCycles = after.totalCycles - prev_cyc;
-                    k.hwInstructions =
-                        after.totalInstructions - prev_ins;
-                    k.allocBytes = after.totalAllocBytes - prev_alloc;
-                    rep.topSpans.push_back(std::move(k));
-                }
-            }
-        }
-        obs::recordStageReport(std::move(rep));
-    }
-
     void
     ensurePrerequisites(Stage s, std::size_t threads)
     {

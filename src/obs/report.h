@@ -1,7 +1,7 @@
 /**
  * @file
- * Run reports: one machine-readable record per instrumented stage
- * execution (StageRunner::run), accumulated process-wide and
+ * Run reports: one machine-readable record per measured stage
+ * execution (core::measureStage), accumulated process-wide and
  * serialized to a single JSON document.
  *
  * A record carries the stage identity (stage, curve, constraint
@@ -11,7 +11,8 @@
  * total time, which is the per-kernel attribution the paper's Table
  * IV reports per stage.
  *
- * Activation: core::StageRunner records automatically; write the
+ * Activation: every core::StageRunner stage records, and a STARK stage
+ * records when it counts or runs under span tracing; write the
  * document with writeRunReport(path), the ZKP_REPORT=path environment
  * variable (flushed at exit), or profile_pipeline --json <path>.
  */

@@ -13,8 +13,8 @@
  * their own beyond their loop overhead.
  *
  * Counting is off unless some code that reads the counters holds a
- * CountingScope: StageRunner::run, the STARK stage bracket when the
- * run report is written at exit, bench_stark's direct read, and a
+ * CountingScope: StageRunner::run, core::measureStage when the run
+ * report is written at exit, bench_stark's direct read, and a
  * ScopedTrace with sinks (the cache model stamps accesses with the
  * instruction count). Off, count() costs one relaxed load and one
  * predictable branch, so the provers, the verifiers and the daemon
@@ -180,6 +180,25 @@ struct Counters
         imuls += o.imuls;
         allocBytes += o.allocBytes;
         memcpyBytes += o.memcpyBytes;
+    }
+
+    /** Difference of two snapshots (this - before): one stage's counts. */
+    Counters
+    operator-(const Counters& before) const
+    {
+        Counters d;
+        d.compute = compute - before.compute;
+        d.control = control - before.control;
+        d.data = data - before.data;
+        d.loads = loads - before.loads;
+        d.stores = stores - before.stores;
+        d.branches = branches - before.branches;
+        for (std::size_t i = 0; i < kNumPrimOps; ++i)
+            d.prim[i] = prim[i] - before.prim[i];
+        d.imuls = imuls - before.imuls;
+        d.allocBytes = allocBytes - before.allocBytes;
+        d.memcpyBytes = memcpyBytes - before.memcpyBytes;
+        return d;
     }
 };
 

@@ -44,12 +44,12 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "core/stage.h"
 #include "ff/fp.h" // ff::mulBatch / ff::batchInverse generics
 #include "poly/domain.h"
 #include "stark/air.h"
 #include "stark/channel.h"
 #include "stark/merkle.h"
-#include "stark/pipeline.h"
 
 namespace zkp::stark {
 
@@ -271,8 +271,8 @@ prove(const Air& air, const StarkParams& params,
 
     // --- trace_gen -------------------------------------------------
     std::vector<Gl> trace;
-    runStarkStage("stark_trace_gen", tag, work, threads, sinks,
-                  sample_mask, [&] { trace = air.buildTrace(); });
+    core::measureStage("stark_trace_gen", tag, work, threads, sinks,
+                       sample_mask, [&] { trace = air.buildTrace(); });
     assert(trace.size() == n * w);
 
     // --- lde -------------------------------------------------------
@@ -283,8 +283,8 @@ prove(const Air& air, const StarkParams& params,
     // repeats with period blowup * period(column).
     std::vector<std::vector<Gl>> periodicLde;
     const auto periodicCols = air.periodicColumns();
-    runStarkStage("stark_lde", tag, work, threads, sinks, sample_mask,
-                  [&] {
+    core::measureStage("stark_lde", tag, work, threads, sinks,
+                       sample_mask, [&] {
         sim::countAlloc(N * w * sizeof(Gl));
         for (std::size_t c = 0; c < w; ++c) {
             std::vector<Gl> col(n);
@@ -317,8 +317,8 @@ prove(const Air& air, const StarkParams& params,
 
     // --- commit ----------------------------------------------------
     std::vector<MerkleTree> trees; // [0] = trace, then FRI layers
-    runStarkStage("stark_commit", tag, work, threads, sinks,
-                  sample_mask, [&] {
+    core::measureStage("stark_commit", tag, work, threads, sinks,
+                       sample_mask, [&] {
         trees.push_back(MerkleTree::fromRows(ldeRows.data(), N, w,
                                              threads));
     });
@@ -343,8 +343,8 @@ prove(const Air& air, const StarkParams& params,
 
     // --- fri -------------------------------------------------------
     std::vector<std::vector<Gl>> layers; // FRI evaluation layers
-    runStarkStage("stark_fri", tag, work, threads, sinks, sample_mask,
-                  [&] {
+    core::measureStage("stark_fri", tag, work, threads, sinks,
+                       sample_mask, [&] {
         const Gl shift = ldeDom.cosetShift();
         const Gl omega = ldeDom.omega();
         const Gl gLast = traceDom.element(n - 1);
@@ -505,8 +505,8 @@ prove(const Air& air, const StarkParams& params,
     });
 
     // --- query -----------------------------------------------------
-    runStarkStage("stark_query", tag, work, threads, sinks,
-                  sample_mask, [&] {
+    core::measureStage("stark_query", tag, work, threads, sinks,
+                       sample_mask, [&] {
         proof.powNonce = ch.grind(params.grindBits);
         for (std::size_t q = 0; q < params.queries; ++q) {
             const std::size_t p = ch.queryIndex(N / 2);
@@ -561,7 +561,7 @@ verify(const Air& air, const StarkParams& params,
     const std::size_t B = boundaries.size();
 
     bool ok = true;
-    runStarkStage(
+    core::measureStage(
         "stark_verify", "gl64/" + air.name(), n * w, 1, {}, 0, [&] {
         ok = false;
         // Shape checks before anything dereferences the proof.

@@ -137,7 +137,7 @@ TEST(Integration, AnalysisOnRangeCircuitPipeline)
         proof));
 
     const sim::Counters after = sim::counters();
-    auto delta = core::countersDelta(before, after);
+    const sim::Counters delta = after - before;
     // The full pipeline must have recorded every primitive class.
     EXPECT_GT(delta.prim[(std::size_t)sim::PrimOp::FieldMul], 0u);
     EXPECT_GT(delta.prim[(std::size_t)sim::PrimOp::GateDispatch], 0u);

@@ -5,7 +5,8 @@
  * snapshots, Chrome/Perfetto trace JSON shape, hostile-string JSON
  * escaping, metrics surviving parallelFor worker merges, run reports
  * (including the hardware "hw" section and its graceful PMU
- * fallback), tracer overhead, and the zero-recording disabled path.
+ * fallback, and STARK stages recorded like StageRunner stages),
+ * tracer overhead, and the zero-recording disabled path.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +30,9 @@
 #include "obs/pmu.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "sim/counters.h"
 #include "snark/curve.h"
+#include "stark/stark.h"
 
 // Timing assertions are meaningless under the sanitizers (they dilate
 // atomics and plain loads by different factors).
@@ -562,6 +565,53 @@ TEST(ReportTest, StageRunnerEmitsRecordsWithKernelAttribution)
     EXPECT_NE(json.find("\"stage\":\"proving\""), std::string::npos);
     EXPECT_NE(json.find("\"top_spans\""), std::string::npos);
     EXPECT_NE(json.find("\"metrics\""), std::string::npos);
+
+    obs::clearStageReports();
+}
+
+// A STARK prove measures its stages in the same bracket as StageRunner
+// (core::measureStage): under a caller's CountingScope and tracing it
+// records all five prove stages with the StageRunner record's shape.
+TEST(ReportTest, StarkStagesRecordLikeStageRunner)
+{
+    obs::stopTracing();
+    obs::clearStageReports();
+    obs::startTracing("");
+
+    core::StageRunner<snark::Bn254> runner(64);
+    runner.run(core::Stage::Proving, 2);
+    {
+        const sim::CountingScope counting;
+        const stark::MimcAir air(1 << 6, stark::Gl::fromU64(7));
+        (void)stark::prove(air, stark::StarkParams{}, 2);
+    }
+
+    obs::stopTracing();
+
+    std::vector<std::string> provingKeys;
+    std::vector<std::string> starkStages;
+    std::vector<std::vector<std::string>> starkKeys;
+    for (const auto& r : obs::stageReports()) {
+        std::vector<std::string> keys;
+        for (const auto& [name, value] : r.counters)
+            keys.push_back(name);
+        if (r.stage == "proving") {
+            provingKeys = keys;
+        } else if (r.stage.rfind("stark_", 0) == 0) {
+            starkStages.push_back(r.stage);
+            starkKeys.push_back(keys);
+            EXPECT_EQ(r.curve, "gl64/mimc");
+            EXPECT_EQ(r.threads, 2u);
+            EXPECT_FALSE(r.topSpans.empty()) << r.stage;
+        }
+    }
+    ASSERT_FALSE(provingKeys.empty());
+    EXPECT_EQ(starkStages,
+              (std::vector<std::string>{"stark_trace_gen", "stark_lde",
+                                        "stark_commit", "stark_fri",
+                                        "stark_query"}));
+    for (std::size_t i = 0; i < starkKeys.size(); ++i)
+        EXPECT_EQ(starkKeys[i], provingKeys) << starkStages[i];
 
     obs::clearStageReports();
 }

@@ -17,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/report.h"
+#include "obs/trace.h"
 #include "serve/circuit_host.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
@@ -720,6 +722,38 @@ TEST(StarkServing, ProveVerifyBypassesKeyCache)
     const std::string json = service.statsJson();
     EXPECT_NE(json.find("\"keyless_serves\":3"), std::string::npos)
         << json.substr(0, 400);
+}
+
+// A served STARK request leaves nothing behind in the process: with
+// no reader of its stages (no span tracing, no ZKP_REPORT) the prover
+// and verifier append no run-report record, however many requests run.
+TEST(StarkServing, UnreadStagesLeaveNoRunReportRecords)
+{
+    if (obs::reportAtExit())
+        GTEST_SKIP() << "ZKP_REPORT records every STARK stage";
+    if (obs::tracingEnabled())
+        GTEST_SKIP() << "ZKP_TRACE records every STARK stage";
+    ProofService service(testConfig(2, 16));
+    service.registerCircuit(makeStarkFibHost("stark-fib:64", 64));
+    const stark::FibonacciAir air(64, stark::Gl::fromU64(1),
+                                  stark::Gl::fromU64(1));
+    const auto pub2 =
+        encodeGl({stark::Gl::fromU64(1), stark::Gl::fromU64(1)});
+    const auto pub3 = encodeGl(air.publicInputs());
+
+    const std::size_t before = obs::stageReports().size();
+    constexpr int kPairs = 16;
+    for (int i = 0; i < kPairs; ++i) {
+        Response proved =
+            service.submitProve("stark-fib:64", pub2, {}).result.get();
+        ASSERT_EQ(proved.status, Status::Ok);
+        Response verified =
+            service.submitVerify("stark-fib:64", pub3, proved.proof)
+                .result.get();
+        ASSERT_EQ(verified.status, Status::Ok);
+        EXPECT_TRUE(verified.valid);
+    }
+    EXPECT_EQ(obs::stageReports().size(), before);
 }
 
 TEST(StarkServing, MimcHostAndMalformedInputs)

@@ -14,11 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/rng.h"
 #include "obs/memprof.h"
 #include "obs/report.h"
+#include "obs/trace.h"
 #include "poly/domain.h"
 #include "prop/zkcheck.h"
 #include "stark/air.h"
@@ -334,27 +337,45 @@ TEST(StarkSim, HashCountsArePinned)
     EXPECT_TRUE(verify(air, StarkParams{}, proof));
 }
 
-// Every STARK prove runs through runStarkStage, so with no reader (no
-// CountingScope, no trace sinks, no ZKP_REPORT) it must count nothing
-// and its stage records must carry no counters.
+// Every STARK prove and verify runs through core::measureStage. With
+// no reader (no CountingScope, no trace sinks, no ZKP_REPORT, no span
+// tracing) a stage counts nothing and records nothing; span tracing
+// alone records every stage, with its spans and without counters.
 TEST(StarkSim, ProveOutsideScopeCountsNothing)
 {
     if (obs::reportAtExit())
         GTEST_SKIP() << "ZKP_REPORT turns STARK stage counting on";
+    if (obs::tracingEnabled())
+        GTEST_SKIP() << "ZKP_TRACE makes every stage a traced one";
     const MimcAir air(1 << 6, Gl::fromU64(7));
     sim::drainWorkerCounters();
     const sim::Counters before = sim::counters();
     obs::clearStageReports();
-    const StarkProof proof = prove(air, StarkParams{}, 2);
+    StarkProof proof = prove(air, StarkParams{}, 2);
+    EXPECT_TRUE(verify(air, StarkParams{}, proof));
     sim::drainWorkerCounters();
     EXPECT_EQ(sim::counters().instructions(), before.instructions());
     EXPECT_EQ(sim::counters().prim, before.prim);
-    const auto reports = obs::stageReports();
-    EXPECT_FALSE(reports.empty());
-    for (const auto& r : reports)
+    EXPECT_TRUE(obs::stageReports().empty());
+
+    obs::startTracing("");
+    proof = prove(air, StarkParams{}, 2);
+    const bool ok = verify(air, StarkParams{}, proof);
+    obs::stopTracing();
+    obs::clearTrace();
+    EXPECT_TRUE(ok);
+    sim::drainWorkerCounters();
+    EXPECT_EQ(sim::counters().instructions(), before.instructions());
+    std::vector<std::string> stages;
+    for (const auto& r : obs::stageReports()) {
+        stages.push_back(r.stage);
         EXPECT_TRUE(r.counters.empty()) << r.stage;
+        EXPECT_FALSE(r.topSpans.empty()) << r.stage;
+    }
+    EXPECT_EQ(stages, (std::vector<std::string>{
+                          "stark_trace_gen", "stark_lde", "stark_commit",
+                          "stark_fri", "stark_query", "stark_verify"}));
     obs::clearStageReports();
-    EXPECT_TRUE(verify(air, StarkParams{}, proof));
 }
 
 } // namespace
