@@ -81,18 +81,15 @@ observeStarkProve(const stark::Air& air, const core::SweepConfig& cfg)
 {
     const core::CpuSinks cpus(cfg);
     const sim::CountingScope counting;
-    sim::drainWorkerCounters();
     const sim::Counters before = sim::counters();
     (void)stark::prove(air, benchParams(), cfg.threads, cpus.sinks(),
                        cfg.sampleMask);
-    sim::drainWorkerCounters();
     return {sim::counters() - before, cpus.observations()};
 }
 
 int
 runMix()
 {
-    sim::installWorkerMergeHook();
     const std::size_t n = sweepSizes().back();
     core::SweepConfig cfg;
     cfg.sizes = {n};

@@ -168,11 +168,8 @@ main(int argc, char** argv)
     TextTable memReport;
     memReport.setHeader({"stage", "peak RSS Δ", "RSS Δ", "allocated",
                          "allocs", "live Δ", "top site"});
-    core::StageRun proving;
     for (core::Stage s : core::kAllStages) {
         auto obs = core::observeStage(runner, s, cfg);
-        if (s == core::Stage::Proving)
-            proving = obs.run;
         {
             const auto& m = obs.run.mem;
             std::string topSite = "-";
@@ -242,7 +239,14 @@ main(int argc, char** argv)
                         .c_str());
     }
 
-    std::printf("hot functions in the proving stage:\n");
+    // The attribution divides analytic per-op costs by the stage's
+    // time, so time a second proving run with no trace sinks: the
+    // cache and branch models' own cost is not the prover's.
+    const core::StageRun proving =
+        runner.run(core::Stage::Proving, threads);
+    std::printf("hot functions in the proving stage (untraced run, "
+                "%s):\n",
+                fmtSeconds(proving.seconds).c_str());
     for (const auto& f : core::attributeFunctions(proving, 4))
         std::printf("  %-28s %5.1f%%\n", f.function.c_str(), f.pct);
 

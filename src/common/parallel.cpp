@@ -1,11 +1,8 @@
 #include "common/parallel.h"
 
-#include <utility>
-
 namespace zkp {
 
 namespace {
-WorkerDoneHook gWorkerDoneHook;
 thread_local double gParallelSeconds = 0.0;
 } // namespace
 
@@ -25,20 +22,6 @@ void
 addParallelWorkSeconds(double s)
 {
     gParallelSeconds += s;
-}
-
-WorkerDoneHook
-setWorkerDoneHook(WorkerDoneHook hook)
-{
-    auto prev = std::move(gWorkerDoneHook);
-    gWorkerDoneHook = std::move(hook);
-    return prev;
-}
-
-const WorkerDoneHook&
-workerDoneHook()
-{
-    return gWorkerDoneHook;
 }
 
 } // namespace zkp

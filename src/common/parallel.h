@@ -8,9 +8,11 @@
  * persistent ThreadPool (common/thread_pool.h): workers are spawned
  * once and parked between regions, so entering a region costs a
  * condvar wake instead of a std::thread spawn/join — this matters for
- * the NTT, which opens a region per butterfly level. The per-thread
- * perf counters of workers are merged into the caller by the sim layer
- * (see sim/counters.h) via the onWorkerDone hook.
+ * the NTT, which opens a region per butterfly level. While a
+ * sim::CountingScope is alive, the pool adds the workers' simulator
+ * counts to the calling thread's sim::counters() before parallelFor
+ * returns, so the caller's counts cover its regions at any thread
+ * count.
  */
 
 #ifndef ZKP_COMMON_PARALLEL_H
@@ -18,26 +20,12 @@
 
 #include <chrono>
 #include <cstddef>
-#include <functional>
 #include <type_traits>
 
 #include "common/thread_pool.h"
 #include "obs/trace.h"
 
 namespace zkp {
-
-/**
- * Hook invoked in each worker thread after its region participation
- * completes, while still on the worker thread. The sim layer installs
- * a counter-merging callback here; it defaults to a no-op.
- */
-using WorkerDoneHook = std::function<void()>;
-
-/** Install the worker-completion hook (returns the previous hook). */
-WorkerDoneHook setWorkerDoneHook(WorkerDoneHook hook);
-
-/** Retrieve the currently installed hook (may be empty). */
-const WorkerDoneHook& workerDoneHook();
 
 /**
  * Seconds the calling thread has spent inside parallelFor regions
@@ -65,8 +53,8 @@ void addParallelWorkSeconds(double s);
  *
  * Runs inline as fn(0, 0, n) when threads <= 1, when n <= 1, or when
  * called from inside a pool worker (nested regions never re-enter the
- * pool). Joins before returning: all worker writes are visible to the
- * caller afterwards.
+ * pool). Joins before returning: all worker writes, and the workers'
+ * simulator counts, are visible to the caller afterwards.
  *
  * @param n total iteration count
  * @param threads number of worker slots to use

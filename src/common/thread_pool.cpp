@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/parallel.h"
 #include "obs/pmu.h"
 #include "obs/trace.h"
 
@@ -75,6 +74,11 @@ ThreadPool::run(std::size_t n, std::size_t workers, RawFn fn, void* ctx)
     regions_.fetch_add(1, std::memory_order_relaxed);
     workCv_.notify_all();
     doneCv_.wait(lock, [&] { return finished_ == slots_; });
+    if (regionCounted_) {
+        sim::counters().merge(regionCounts_);
+        regionCounts_.reset();
+        regionCounted_ = false;
+    }
 }
 
 void
@@ -97,6 +101,13 @@ ThreadPool::workerLoop(std::size_t slot)
         const std::size_t n = n_;
         const std::size_t chunk = chunk_;
         lock.unlock();
+        // Simulator counts are per-thread. A slot that starts counted
+        // first drops what an uncounted participation left behind
+        // (another thread's scope can switch counting on mid-region),
+        // then hands this region's counts to run() below.
+        const bool counted = sim::countingEnabled();
+        if (counted)
+            sim::counters().reset();
         {
             // Stable per-slot Perfetto lane; one "worker" span per
             // region participation, covering every chunk it claims.
@@ -122,10 +133,13 @@ ThreadPool::workerLoop(std::size_t slot)
                     obs::pmu::accumulateWorkerDelta(
                         obs::pmu::delta(hw_before, hw_after));
             }
-            if (const auto& hook = workerDoneHook())
-                hook();
         }
         lock.lock();
+        if (counted) {
+            regionCounts_.merge(sim::counters());
+            regionCounted_ = true;
+            sim::counters().reset();
+        }
         if (++finished_ == slots_)
             doneCv_.notify_all();
     }

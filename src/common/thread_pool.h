@@ -23,9 +23,13 @@
  *  - every participating slot runs on a stable obs worker lane
  *    (obs::kWorkerLaneBase + slot) and emits one "worker" span per
  *    region;
- *  - the WorkerDoneHook runs once per participating slot per region,
- *    on the worker thread, after its last chunk (the sim layer uses
- *    this to merge and reset worker-thread counters);
+ *  - while a sim::CountingScope is alive, the region's simulator
+ *    counts reach the thread that opened it: each participating slot
+ *    hands its sim::counters() to the pool after its last chunk and
+ *    resets them, and run() merges the region's total into the
+ *    caller's counters before it returns. Inline regions count on the
+ *    caller directly. With no scope alive a participation pays one
+ *    relaxed load for this;
  *  - regions are fork-join: run() returns only after every
  *    participant finished, with all worker writes visible to the
  *    caller.
@@ -60,6 +64,8 @@
 #include <thread>
 #include <vector>
 
+#include "sim/counters.h"
+
 namespace zkp {
 
 class ThreadPool
@@ -84,8 +90,11 @@ class ThreadPool
     /**
      * Execute a fork-join region over [0, n) with min(workers,
      * kMaxWorkers) participating slots. Blocks until every participant
-     * is done. Concurrent top-level regions serialize; call with
-     * workers >= 2 and n >= 1 (parallelFor handles the inline cases).
+     * is done, then adds the workers' simulator counts to the calling
+     * thread's sim::counters(). Concurrent top-level regions
+     * serialize, so each caller receives exactly its own region's
+     * counts; call with workers >= 2 and n >= 1 (parallelFor handles
+     * the inline cases).
      */
     void run(std::size_t n, std::size_t workers, RawFn fn, void* ctx);
 
@@ -129,6 +138,11 @@ class ThreadPool
     std::size_t slots_ = 0;
     std::size_t finished_ = 0;
     std::atomic<std::size_t> cursor_{0};
+
+    // Simulator counts the current region's slots handed in, and
+    // whether any slot counted; run() moves them to its caller.
+    sim::Counters regionCounts_;
+    bool regionCounted_ = false;
 
     std::atomic<std::uint64_t> regions_{0};
 };

@@ -62,7 +62,6 @@ class StageRunner
         : entry_(&entry), scale_(scale),
           constraints_(entry.predictedConstraints(scale)), seed_(seed)
     {
-        sim::installWorkerMergeHook();
         // Every process-wide one-time derivation the stages use runs
         // here, outside the measured region, so the first run in a
         // process counts the same as any later one: the fixed-base

@@ -70,7 +70,6 @@ StageBracket::StageBracket() : counted_(sim::countingEnabled())
     // this run's kernel time (tracing enabled only).
     if (obs::tracingEnabled())
         spansBefore_ = obs::spanAggregates();
-    sim::drainWorkerCounters();
     countersBefore_ = sim::counters();
     // Hardware counters: drop any worker deltas accumulated before
     // the stage, then sample this thread around the measured region

@@ -158,7 +158,6 @@ measureStage(const char* stage, const std::string& tag, std::size_t work,
     }
     out.seconds = timer.seconds();
     if (bracket) {
-        sim::drainWorkerCounters();
         counting.reset();
         bracket->finish(out, stage, tag, work, threads);
     }

@@ -14,8 +14,9 @@
  *  - Counters are per-thread (pid=0, cpu=-1, no inherit): the main
  *    thread samples around each measured region and pool workers
  *    sample around their region participation, accumulating deltas
- *    into a process-wide aggregate the runner drains — mirroring how
- *    sim::drainWorkerCounters merges simulated counters.
+ *    into a process-wide aggregate the runner drains. (Simulated
+ *    counters take a different path: the pool hands them straight to
+ *    the region's caller, see common/thread_pool.h.)
  *  - Events open in small groups (cycles/instructions/branches and
  *    the LLC set) so each group fits the PMU's programmable counters
  *    and schedules as a unit; the top-down level-1 metric events

@@ -222,7 +222,6 @@ class CircuitBuilder
                 sim::traceStore(&rows[j], sizeof(Constraint<Fr>));
             }
         });
-        sim::drainWorkerCounters();
         return R1cs<Fr>(nextVar_, numPublic_, std::move(rows));
     }
 

@@ -1,8 +1,5 @@
 #include "sim/counters.h"
 
-#include <mutex>
-
-#include "common/parallel.h"
 #include "sim/memtrace.h"
 
 namespace zkp::sim {
@@ -36,40 +33,6 @@ traceBranchSlow(u32 site, bool taken)
     TraceControl& t = traceControl();
     for (TraceSink* sink : t.sinks)
         sink->onBranch(site, taken);
-}
-
-namespace {
-
-std::mutex gPendingMutex;
-Counters gPendingWorkers;
-
-} // namespace
-
-void
-installWorkerMergeHook()
-{
-    static std::once_flag once;
-    std::call_once(once, [] {
-        setWorkerDoneHook([] {
-            if (!countingEnabled())
-                return;
-            std::lock_guard<std::mutex> lock(gPendingMutex);
-            gPendingWorkers.merge(counters());
-            counters().reset();
-        });
-    });
-}
-
-void
-drainWorkerCounters()
-{
-    Counters pending;
-    {
-        std::lock_guard<std::mutex> lock(gPendingMutex);
-        pending = gPendingWorkers;
-        gPendingWorkers.reset();
-    }
-    counters().merge(pending);
 }
 
 } // namespace zkp::sim

@@ -202,7 +202,11 @@ struct Counters
     }
 };
 
-/** The calling thread's counters. */
+/**
+ * The calling thread's counters. A parallelFor region adds its pool
+ * workers' counts here before it returns (common/thread_pool.h), so a
+ * caller's counters cover the regions it opened at any thread count.
+ */
 Counters& counters();
 
 namespace detail {
@@ -223,7 +227,8 @@ countingEnabled()
  * RAII switch that turns counting on for the whole process (every
  * thread, pool workers included) while it lives. Scopes nest and may
  * overlap across threads: counting stays on until the last one ends.
- * Hold one around any region whose counters something reads.
+ * Hold one around any region whose counters something reads; the
+ * workers of a region opened under it count for the region's caller.
  */
 class CountingScope
 {
@@ -276,20 +281,6 @@ countMemcpy(u64 bytes)
     count(PrimOp::MemcpyWord, 4, (bytes + 7) / 8);
     counters().memcpyBytes += bytes;
 }
-
-/**
- * Install the worker-done hook that merges worker-thread counters into
- * an aggregate the parent folds back in. The hook does nothing while
- * counting is off. Called once at startup by the analysis layer; safe
- * to call repeatedly.
- */
-void installWorkerMergeHook();
-
-/**
- * Aggregate counters collected from finished worker threads since the
- * last drain, merged into the calling thread's counters when drained.
- */
-void drainWorkerCounters();
 
 } // namespace zkp::sim
 

@@ -200,7 +200,6 @@ class Groth16
                             combined[i] =
                                 beta * at[i] + alpha * bt[i] + ct[i];
                     });
-        sim::drainWorkerCounters();
 
         const std::size_t npub = cs.numPublic();
         std::vector<Fr> ic_scalars(npub + 1);
@@ -256,7 +255,6 @@ class Groth16
                             c_ev[j] = rows[j].c.evaluate(z);
                         }
                     });
-        sim::drainWorkerCounters();
 
         // H(x) = (A(x)B(x) - C(x)) / Z(x) via coset evaluation.
         domain.intt(a_ev, threads);
@@ -272,7 +270,6 @@ class Groth16
                         for (std::size_t i = lo; i < hi; ++i)
                             h[i] = (a_ev[i] * b_ev[i] - c_ev[i]) * zinv;
                     });
-        sim::drainWorkerCounters();
         domain.cosetIntt(h, threads);
 
         // Convert scalars to canonical form once for the MSMs.
@@ -477,7 +474,6 @@ class Groth16
                             sim::traceStore(&out[i], sizeof(Jac));
                         }
                     });
-        sim::drainWorkerCounters();
         auto affine = ec::batchToAffine(out);
         for (const auto& p : affine)
             sim::traceStore(&p, sizeof(p));

@@ -85,7 +85,6 @@ class Kzg
                         for (std::size_t i = lo; i < hi; ++i)
                             jac[i] = t1.mul(powers[i].toBigInt());
                     });
-        sim::drainWorkerCounters();
         srs.g1Powers = ec::batchToAffine(jac);
 
         typename G2::Jacobian g2{G2::generator()};

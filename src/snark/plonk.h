@@ -483,7 +483,6 @@ class Plonk
                 x *= domain4.omega();
             }
         });
-        sim::drainWorkerCounters();
         domain4.cosetIntt(t4, threads);
         proof.t = KzgScheme::commit(pk.srs, t4, threads);
         ts.absorbPoint(proof.t);

@@ -118,9 +118,7 @@ TEST(Integration, AnalysisOnRangeCircuitPipeline)
     using Fr = Bn254::Fr;
     using Scheme = snark::Groth16<Bn254>;
 
-    sim::installWorkerMergeHook();
     const sim::CountingScope counting;
-    sim::drainWorkerCounters();
     const sim::Counters before = sim::counters();
 
     Rng rng(904);
@@ -146,6 +144,38 @@ TEST(Integration, AnalysisOnRangeCircuitPipeline)
     EXPECT_GT(delta.prim[(std::size_t)sim::PrimOp::NttButterfly], 0u);
     EXPECT_GT(delta.loads, 0u);
     EXPECT_GT(delta.imuls, 0u);
+}
+
+// The pool hands worker counts to the prover's thread with nothing
+// installed, so a Groth16 prove counts within 1% of the same
+// instructions at 1 and at 4 threads. 2^12 is the smallest size whose
+// MSMs run on pool workers (below 2 * ec::kMsmChunkMin points the MSM
+// stays on the caller); at 2^10 the workers carry under 1% of the
+// prove, so losing their counts would go unseen.
+TEST(Integration, Groth16CountsAgreeAcrossThreadCounts)
+{
+    using Fr = Bn254::Fr;
+    using Scheme = snark::Groth16<Bn254>;
+
+    Rng rng(906);
+    r1cs::ExponentiationCircuit<Fr> circ(1 << 12);
+    const auto cs = circ.builder.compile();
+    r1cs::WitnessCalculator<Fr> calc(circ.builder.witnessProgram());
+    const Fr x = Fr::fromU64(3);
+    const auto z = calc.compute({circ.evaluate(x)}, {x});
+    const auto keys = Scheme::setup(cs, rng);
+    (void)Scheme::prove(keys.pk, cs, z, rng); // one-time derivations
+
+    auto countProve = [&](std::size_t threads) {
+        const sim::CountingScope counting;
+        const sim::Counters before = sim::counters();
+        (void)Scheme::prove(keys.pk, cs, z, rng, threads);
+        return sim::counters() - before;
+    };
+    const sim::Counters one = countProve(1);
+    const sim::Counters four = countProve(4);
+    EXPECT_NEAR((double)four.instructions(), (double)one.instructions(),
+                0.01 * (double)one.instructions());
 }
 
 TEST(Integration, CrossCurveProofsDoNotConfuse)

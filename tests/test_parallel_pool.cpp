@@ -2,9 +2,9 @@
  * @file
  * Tests for the persistent fork-join thread pool behind parallelFor:
  * pool reuse across regions, chunked-cursor coverage, nested-call
- * safety, hook / worker-lane / parallelWorkSeconds invariants under
- * repeated regions, and concurrent top-level callers. Doubles as the
- * ThreadSanitizer stress target in CI.
+ * safety, worker-count / worker-lane / parallelWorkSeconds invariants
+ * under repeated regions, and concurrent top-level callers. Doubles as
+ * the ThreadSanitizer stress target in CI.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include "common/parallel.h"
 #include "common/thread_pool.h"
 #include "obs/trace.h"
+#include "sim/counters.h"
 
 namespace zkp {
 namespace {
@@ -102,33 +103,76 @@ TEST(ThreadPoolTest, NestedCallsRunInlineWithoutDeadlock)
     EXPECT_FALSE(ThreadPool::onWorkerThread());
 }
 
-TEST(ThreadPoolTest, HookRunsOncePerSlotPerRegion)
+sim::u64
+fieldAdds(const sim::Counters& c)
 {
-    constexpr std::size_t kThreads = 4;
-    static std::atomic<std::size_t> hook_calls;
-    hook_calls = 0;
-    auto prev = setWorkerDoneHook([] { hook_calls++; });
-
-    constexpr int kRegions = 20;
-    for (int rep = 0; rep < kRegions; ++rep)
-        parallelFor(4096, kThreads,
-                    [](std::size_t, std::size_t, std::size_t) {});
-    setWorkerDoneHook(prev);
-
-    // Every participating slot runs the hook exactly once per region,
-    // even slots whose chunks were stolen by faster workers.
-    EXPECT_EQ(hook_calls.load(), kRegions * kThreads);
+    return c.prim[(std::size_t)sim::PrimOp::FieldAdd];
 }
 
-TEST(ThreadPoolTest, HookNotRunOnInlinePaths)
+// Count @p per_item FieldAdds for every index of [0, n).
+void
+countedRegion(std::size_t n, std::size_t threads, sim::u64 per_item)
 {
-    static std::atomic<std::size_t> hook_calls;
-    hook_calls = 0;
-    auto prev = setWorkerDoneHook([] { hook_calls++; });
-    parallelFor(100, 1, [](std::size_t, std::size_t, std::size_t) {});
-    parallelFor(1, 8, [](std::size_t, std::size_t, std::size_t) {});
-    setWorkerDoneHook(prev);
-    EXPECT_EQ(hook_calls.load(), 0u);
+    parallelFor(n, threads,
+                [per_item](std::size_t, std::size_t b, std::size_t e) {
+                    for (std::size_t i = b; i < e; ++i)
+                        sim::count(sim::PrimOp::FieldAdd, 4, per_item);
+                });
+}
+
+TEST(ThreadPoolTest, WorkerCountsLandOncePerRegion)
+{
+    const sim::CountingScope counting;
+    // Every participating slot hands its counts over exactly once per
+    // region, even slots whose chunks were stolen by faster workers,
+    // and the caller holds them as soon as parallelFor returns.
+    for (int rep = 0; rep < 20; ++rep) {
+        const sim::u64 before = fieldAdds(sim::counters());
+        countedRegion(4, 4, 100);
+        ASSERT_EQ(fieldAdds(sim::counters()) - before, 400u) << rep;
+        countedRegion(4096, 4, 1);
+        ASSERT_EQ(fieldAdds(sim::counters()) - before, 4496u) << rep;
+    }
+}
+
+TEST(ThreadPoolTest, InlinePathsCountOnCaller)
+{
+    const sim::CountingScope counting;
+    const std::uint64_t regions = ThreadPool::instance().regionsExecuted();
+    const sim::u64 before = fieldAdds(sim::counters());
+    countedRegion(100, 1, 1); // threads <= 1
+    countedRegion(1, 8, 7);   // n <= 1
+    EXPECT_EQ(fieldAdds(sim::counters()) - before, 107u);
+    EXPECT_EQ(ThreadPool::instance().regionsExecuted(), regions);
+
+    // A nested region runs inline on its worker, whose counts reach
+    // the outer region's caller with the rest of that participation.
+    parallelFor(4, 4, [](std::size_t, std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i)
+            countedRegion(8, 4, 10);
+    });
+    EXPECT_EQ(fieldAdds(sim::counters()) - before, 107u + 4 * 8 * 10);
+    EXPECT_EQ(ThreadPool::instance().regionsExecuted(), regions + 1);
+}
+
+TEST(ThreadPoolTest, UncountedWorkNeverReachesLaterRegions)
+{
+    ASSERT_FALSE(sim::countingEnabled());
+    // Workers of an uncounted region are left holding counts: raw
+    // writes, and counts made after a scope opened mid-region.
+    parallelFor(64, 4, [](std::size_t, std::size_t b, std::size_t e) {
+        sim::counters().compute += 1000 * (e - b);
+        const sim::CountingScope late;
+        sim::count(sim::PrimOp::FieldAdd, 4, 1000 * (e - b));
+    });
+    const sim::CountingScope counting;
+    const sim::Counters before = sim::counters();
+    countedRegion(4, 4, 100);
+    const sim::Counters d = sim::counters() - before;
+    const sim::OpSignature add = sim::signatureFor(sim::PrimOp::FieldAdd, 4);
+    EXPECT_EQ(fieldAdds(d), 400u);
+    EXPECT_EQ(d.instructions(),
+              400u * (add.compute + add.control + add.data));
 }
 
 TEST(ThreadPoolTest, ParallelWorkSecondsAccumulatesAcrossRegions)

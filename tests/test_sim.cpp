@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <thread>
 
 #include "common/parallel.h"
@@ -75,22 +77,47 @@ TEST(Counters, MergeIsAdditive)
     EXPECT_EQ(a.prim[0], 5u);
 }
 
-TEST(Counters, WorkerMergeHookCollectsThreads)
+// Two threads count through the one pool at the same time. Each
+// caller receives exactly its own regions' worker counts: the first
+// only FieldAdds, the second only FieldMuls.
+TEST(Counters, ConcurrentCallersGetTheirOwnWorkerCounts)
 {
-    installWorkerMergeHook();
-    const CountingScope counting;
-    Counters saved = counters();
-    counters().reset();
-    drainWorkerCounters(); // flush any leftovers from other tests
-    counters().reset();
-
-    parallelFor(4, 4, [](std::size_t, std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i)
-            count(PrimOp::FieldAdd, 4, 100);
-    });
-    drainWorkerCounters();
-    EXPECT_EQ(counters().prim[(std::size_t)PrimOp::FieldAdd], 400u);
-    counters() = saved;
+    constexpr u64 kRegions = 200, kItems = 64;
+    struct Caller
+    {
+        PrimOp op;
+        u64 perItem;
+        Counters seen;
+    };
+    Caller callers[2] = {{PrimOp::FieldAdd, 3, {}},
+                         {PrimOp::FieldMul, 5, {}}};
+    std::atomic<int> started{0};
+    auto body = [&](Caller& c) {
+        const CountingScope counting;
+        const Counters before = counters();
+        // Both callers start their regions together, so they overlap.
+        started.fetch_add(1);
+        while (started.load() < 2)
+            std::this_thread::yield();
+        for (u64 r = 0; r < kRegions; ++r)
+            parallelFor(kItems, 4,
+                        [&](std::size_t, std::size_t b, std::size_t e) {
+                            for (std::size_t i = b; i < e; ++i)
+                                count(c.op, 4, c.perItem);
+                        });
+        c.seen = counters() - before;
+    };
+    std::thread first(body, std::ref(callers[0]));
+    std::thread second(body, std::ref(callers[1]));
+    first.join();
+    second.join();
+    for (const Caller& c : callers) {
+        const OpSignature sig = signatureFor(c.op, 4);
+        const u64 ops = kRegions * kItems * c.perItem;
+        EXPECT_EQ(c.seen.prim[(std::size_t)c.op], ops);
+        EXPECT_EQ(c.seen.instructions(),
+                  ops * (sig.compute + sig.control + sig.data));
+    }
 }
 
 bool
@@ -107,12 +134,7 @@ TEST(Counters, OffOutsideScope)
 {
     using Fr = ff::bn254::Fr;
     using stark::Gl;
-    installWorkerMergeHook();
     ASSERT_FALSE(countingEnabled());
-    {
-        const CountingScope flush;
-        drainWorkerCounters(); // leftovers from other tests
-    }
     // Operands are built up front: conversions count field ops too.
     const Fr fa = Fr::fromU64(3), fb = Fr::fromU64(5);
     const Gl ga = Gl::fromU64(7), gb = Gl::fromU64(11);
@@ -127,7 +149,6 @@ TEST(Counters, OffOutsideScope)
             for (std::size_t i = b; i < e; ++i)
                 count(PrimOp::FieldAdd, 4, 100);
         });
-        drainWorkerCounters();
     };
 
     const Counters before = counters();

@@ -318,16 +318,13 @@ TEST(Stark, ProofIsDeterministic)
 // The simulator counts one HashCompress per compression and one
 // HashAbsorb per hashed field element, whichever kernel runs, so the
 // E14 instruction mix does not depend on the host. The values are
-// those the scalar-only, heap-buffered hashing produced; threads = 1
-// keeps every count on this thread.
+// those the scalar-only, heap-buffered hashing produced.
 TEST(StarkSim, HashCountsArePinned)
 {
     const MimcAir air(1 << 8, Gl::fromU64(7));
     const sim::CountingScope counting;
-    sim::drainWorkerCounters();
     const sim::Counters before = sim::counters();
     const StarkProof proof = prove(air, StarkParams{}, 1);
-    sim::drainWorkerCounters();
     const sim::Counters after = sim::counters();
     auto delta = [&](sim::PrimOp op) {
         return after.prim[(std::size_t)op] - before.prim[(std::size_t)op];
@@ -335,6 +332,29 @@ TEST(StarkSim, HashCountsArePinned)
     EXPECT_EQ(delta(sim::PrimOp::HashCompress), 8198u);
     EXPECT_EQ(delta(sim::PrimOp::HashAbsorb), 3968u);
     EXPECT_TRUE(verify(air, StarkParams{}, proof));
+}
+
+// The pool hands worker counts to the prover's thread, so a prove
+// counts the same work at any thread count with nothing installed:
+// the same hashes, and instructions within 1% (the LDE and FRI split
+// their loops differently per thread count).
+TEST(StarkSim, CountsAgreeAcrossThreadCounts)
+{
+    const MimcAir air(1 << 10, Gl::fromU64(7));
+    auto countProve = [&](std::size_t threads) {
+        const sim::CountingScope counting;
+        const sim::Counters before = sim::counters();
+        (void)prove(air, StarkParams{}, threads);
+        return sim::counters() - before;
+    };
+    const sim::Counters one = countProve(1);
+    const sim::Counters four = countProve(4);
+    for (const sim::PrimOp op :
+         {sim::PrimOp::HashCompress, sim::PrimOp::HashAbsorb})
+        EXPECT_EQ(four.prim[(std::size_t)op], one.prim[(std::size_t)op])
+            << (unsigned)op;
+    EXPECT_NEAR((double)four.instructions(), (double)one.instructions(),
+                0.01 * (double)one.instructions());
 }
 
 // Every STARK prove and verify runs through core::measureStage. With
@@ -348,12 +368,10 @@ TEST(StarkSim, ProveOutsideScopeCountsNothing)
     if (obs::tracingEnabled())
         GTEST_SKIP() << "ZKP_TRACE makes every stage a traced one";
     const MimcAir air(1 << 6, Gl::fromU64(7));
-    sim::drainWorkerCounters();
     const sim::Counters before = sim::counters();
     obs::clearStageReports();
     StarkProof proof = prove(air, StarkParams{}, 2);
     EXPECT_TRUE(verify(air, StarkParams{}, proof));
-    sim::drainWorkerCounters();
     EXPECT_EQ(sim::counters().instructions(), before.instructions());
     EXPECT_EQ(sim::counters().prim, before.prim);
     EXPECT_TRUE(obs::stageReports().empty());
@@ -364,7 +382,6 @@ TEST(StarkSim, ProveOutsideScopeCountsNothing)
     obs::stopTracing();
     obs::clearTrace();
     EXPECT_TRUE(ok);
-    sim::drainWorkerCounters();
     EXPECT_EQ(sim::counters().instructions(), before.instructions());
     std::vector<std::string> stages;
     for (const auto& r : obs::stageReports()) {
