@@ -74,29 +74,6 @@ log2Of(std::size_t n)
     return k;
 }
 
-/**
- * Linear-interpolated quantile of an ascending-sorted sample set, at
- * rank q * (size - 1). Returns 0 on an empty sample. Shared by the
- * latency benches (bench_serve) so client- and server-side
- * percentiles are computed the same way.
- */
-inline double
-percentile(const std::vector<double>& sorted, double q)
-{
-    if (sorted.empty())
-        return 0;
-    if (q <= 0)
-        return sorted.front();
-    if (q >= 1)
-        return sorted.back();
-    const double rank = q * (double)(sorted.size() - 1);
-    const std::size_t lo = (std::size_t)rank;
-    const std::size_t hi =
-        lo + 1 < sorted.size() ? lo + 1 : lo;
-    const double frac = rank - (double)lo;
-    return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
 /** True when @p flag appears among the command-line arguments. */
 inline bool
 hasFlag(int argc, char** argv, const char* flag)

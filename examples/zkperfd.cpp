@@ -2,7 +2,10 @@
  * @file
  * zkperfd: a Unix-domain-socket proof-serving daemon over the
  * ProofService (src/serve/), speaking the length-prefixed binary
- * protocol of serve/protocol.h.
+ * protocol of serve/protocol.h. The socket side (accept loop,
+ * per-connection dispatch, drain) is serve::Server
+ * (serve/server.h); this file parses flags, registers and prewarms
+ * circuits, and writes metrics snapshots.
  *
  * Run: ./build/examples/zkperfd [--socket <path>] [--log2 <k>]
  *          [--circuit <zoo>[:scale]] [--stark <air>[:steps]]
@@ -39,7 +42,10 @@
  *                    files follow: poll the path, parse the whole
  *                    document.
  *
- * Unknown flags are an error (usage + exit 2), not silently ignored.
+ * Unknown flags are an error (usage + exit 2), not silently ignored,
+ * and so is a count that is not a positive decimal integer: the value
+ * of --log2, --workers, --queue and --prove-threads, and the part
+ * after ':' in --circuit and --stark.
  * SIGINT/SIGTERM drain the service (in-flight and queued requests
  * complete, new ones are rejected with ShuttingDown) before exit; on
  * drain a final metrics snapshot is flushed to the metrics file (or
@@ -51,38 +57,34 @@
  * document.
  */
 
-#include <atomic>
+#include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include "serve/circuit_host.h"
-#include "serve/protocol.h"
+#include "serve/server.h"
 #include "serve/service.h"
 #include "serve/stark_host.h"
 
 namespace {
 
-std::atomic<bool> gStop{false};
-std::atomic<int> gListenFd{-1};
+/// The server that SIGINT/SIGTERM stop; set before the handlers are
+/// installed.
+zkp::serve::Server* gServer = nullptr;
 
 void
 onSignal(int)
 {
-    gStop.store(true);
-    // Unblock accept(); shutdown() is async-signal-safe.
-    const int fd = gListenFd.load();
-    if (fd >= 0)
-        ::shutdown(fd, SHUT_RDWR);
+    gServer->stop();
 }
 
 int
@@ -97,6 +99,16 @@ usage(const char* argv0)
         "          [--metrics-interval <sec>] [--metrics-file <path>]\n",
         argv0);
     return 2;
+}
+
+int
+badValue(const char* argv0, const char* flag, const char* v)
+{
+    std::fprintf(stderr,
+                 "invalid %s value \"%s\": counts are positive "
+                 "decimal integers\n",
+                 flag, v);
+    return usage(argv0);
 }
 
 /**
@@ -126,93 +138,34 @@ writeSnapshotFile(const std::string& path, const std::string& json)
 }
 
 /**
- * One client connection. The handler thread never closes fd itself —
- * it sets done and the main thread closes only after joining, so a
- * descriptor number is never recycled while drain code could still
- * shutdown() it.
+ * A positive decimal integer: digits only, no sign, no suffix, no
+ * overflow. Anything else leaves @p out alone and returns false.
  */
-struct Connection
+bool
+parsePositive(std::string_view text, std::size_t& out)
 {
-    int fd = -1;
-    std::atomic<bool> done{false};
-    std::thread thread;
-};
+    std::size_t v = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end || v == 0)
+        return false;
+    out = v;
+    return true;
+}
 
-void
-serveConnection(zkp::serve::ProofService& service, int fd)
+/**
+ * Split a "<name>[:n]" flag value into (name, n). n is 0 without a
+ * colon; after one it must be a positive decimal integer.
+ */
+bool
+parseSpec(const std::string& spec,
+          std::pair<std::string, std::size_t>& out)
 {
-    using namespace zkp::serve;
-    wire::Frame req;
-    while (wire::readFrame(fd, req)) {
-        wire::Frame resp;
-        resp.id = req.id;
-        switch (req.type) {
-          case wire::MsgType::Ping:
-            resp.type = wire::MsgType::Pong;
-            break;
-          case wire::MsgType::StatsV2Request: {
-            wire::StatsV2Response body;
-            body.json = service.statsJson();
-            resp.type = wire::MsgType::StatsV2Response;
-            resp.body = wire::encodeStatsV2Response(body);
-            break;
-          }
-          case wire::MsgType::ProveRequest: {
-            wire::Result result;
-            if (auto m = wire::decodeProveRequest(req.body)) {
-                RequestOptions opts;
-                opts.priority = m->priority;
-                opts.timeoutSeconds = m->timeoutMicros / 1e6;
-                auto ticket = service.submitProve(
-                    m->circuit, std::move(m->publicInputs),
-                    std::move(m->privateInputs), opts);
-                const Response r = ticket.result.get();
-                result.status = r.status;
-                result.proof = r.proof;
-                result.queueMicros =
-                    (std::uint64_t)(r.queueSeconds * 1e6);
-                result.execMicros =
-                    (std::uint64_t)(r.execSeconds * 1e6);
-                result.batchSize = r.batchSize;
-            } else {
-                result.status = Status::InvalidRequest;
-            }
-            resp.type = wire::MsgType::Result;
-            resp.body = wire::encodeResult(result);
-            break;
-          }
-          case wire::MsgType::VerifyRequest: {
-            wire::Result result;
-            if (auto m = wire::decodeVerifyRequest(req.body)) {
-                RequestOptions opts;
-                opts.priority = m->priority;
-                opts.timeoutSeconds = m->timeoutMicros / 1e6;
-                auto ticket = service.submitVerify(
-                    m->circuit, std::move(m->publicInputs),
-                    std::move(m->proof), opts);
-                const Response r = ticket.result.get();
-                result.status = r.status;
-                result.valid = r.valid;
-                result.queueMicros =
-                    (std::uint64_t)(r.queueSeconds * 1e6);
-                result.execMicros =
-                    (std::uint64_t)(r.execSeconds * 1e6);
-                result.batchSize = r.batchSize;
-            } else {
-                result.status = Status::InvalidRequest;
-            }
-            resp.type = wire::MsgType::Result;
-            resp.body = wire::encodeResult(result);
-            break;
-          }
-          default:
-            // Unknown request type: drop the connection (a framing
-            // bug on the client side; nothing sensible to answer).
-            return;
-        }
-        if (!wire::writeFrame(fd, resp))
-            break;
-    }
+    const auto colon = spec.find(':');
+    out = {spec.substr(0, colon), 0};
+    return colon == std::string::npos ||
+           parsePositive(std::string_view(spec).substr(colon + 1),
+                         out.second);
 }
 
 } // namespace
@@ -224,8 +177,9 @@ main(int argc, char** argv)
 
     std::string socket_path = "/tmp/zkperfd.sock";
     std::size_t log2_constraints = 12;
-    std::vector<std::string> circuit_specs;
-    std::vector<std::string> stark_specs;
+    // "<name>[:n]" flag values, n = 0 when absent.
+    std::vector<std::pair<std::string, std::size_t>> circuit_specs;
+    std::vector<std::pair<std::string, std::size_t>> stark_specs;
     std::size_t workers = 0, queue = 0, prove_threads = 0;
     bool prewarm = true;
     double metrics_interval = 0;
@@ -244,17 +198,23 @@ main(int argc, char** argv)
         if (const char* v = value("--socket")) {
             socket_path = v;
         } else if (const char* v = value("--log2")) {
-            log2_constraints = (std::size_t)std::atoi(v);
+            if (!parsePositive(v, log2_constraints))
+                return badValue(argv[0], "--log2", v);
         } else if (const char* v = value("--circuit")) {
-            circuit_specs.emplace_back(v);
+            if (!parseSpec(v, circuit_specs.emplace_back()))
+                return badValue(argv[0], "--circuit", v);
         } else if (const char* v = value("--stark")) {
-            stark_specs.emplace_back(v);
+            if (!parseSpec(v, stark_specs.emplace_back()))
+                return badValue(argv[0], "--stark", v);
         } else if (const char* v = value("--workers")) {
-            workers = (std::size_t)std::atoi(v);
+            if (!parsePositive(v, workers))
+                return badValue(argv[0], "--workers", v);
         } else if (const char* v = value("--queue")) {
-            queue = (std::size_t)std::atoi(v);
+            if (!parsePositive(v, queue))
+                return badValue(argv[0], "--queue", v);
         } else if (const char* v = value("--prove-threads")) {
-            prove_threads = (std::size_t)std::atoi(v);
+            if (!parsePositive(v, prove_threads))
+                return badValue(argv[0], "--prove-threads", v);
         } else if (const char* v = value("--metrics-interval")) {
             metrics_interval = std::atof(v);
         } else if (const char* v = value("--metrics-file")) {
@@ -276,6 +236,8 @@ main(int argc, char** argv)
     cfg.queueCapacity = queue;
     cfg.proveThreads = prove_threads;
     serve::ProofService service(cfg);
+    serve::Server server(service, socket_path);
+    gServer = &server;
 
     // Install the shutdown handlers BEFORE registration and prewarm:
     // a supervisor's SIGTERM during a minutes-long key prewarm must
@@ -300,13 +262,7 @@ main(int argc, char** argv)
             service.config().proveThreads));
     // Zoo-keyed circuits: "<zoo>[:scale]" -> wire id "<zoo>:<scale>".
     std::vector<std::string> zoo_ids;
-    for (const std::string& spec : circuit_specs) {
-        std::string zoo_name = spec;
-        std::size_t scale = 0;
-        if (auto colon = spec.find(':'); colon != std::string::npos) {
-            zoo_name = spec.substr(0, colon);
-            scale = (std::size_t)std::atol(spec.c_str() + colon + 1);
-        }
+    for (auto [zoo_name, scale] : circuit_specs) {
         const auto* entry =
             r1cs::zoo::find<snark::Bn254::Fr>(zoo_name);
         if (!entry) {
@@ -325,13 +281,7 @@ main(int argc, char** argv)
     }
     // Transparent STARK circuits: "<air>[:steps]" -> wire id
     // "stark-<air>:<steps>". Never prewarmed — there is no key.
-    for (const std::string& spec : stark_specs) {
-        std::string air_name = spec;
-        std::size_t steps = 0;
-        if (auto colon = spec.find(':'); colon != std::string::npos) {
-            air_name = spec.substr(0, colon);
-            steps = (std::size_t)std::atol(spec.c_str() + colon + 1);
-        }
+    for (auto [air_name, steps] : stark_specs) {
         if (steps == 0)
             steps = 1024;
         if (steps < 16 || (steps & (steps - 1)) != 0) {
@@ -360,13 +310,13 @@ main(int argc, char** argv)
                     "cache entry)\n",
                     id.c_str());
     }
-    if (prewarm && !gStop.load()) {
+    if (prewarm && !server.stopping()) {
         std::printf("zkperfd: prewarming keys for %s (2^%zu "
                     "constraints)...\n",
                     circuit_name, log2_constraints);
         service.prewarm(circuit_name);
         for (const std::string& id : zoo_ids) {
-            if (gStop.load())
+            if (server.stopping())
                 break; // signal mid-prewarm: fall through to drain
             std::printf("zkperfd: prewarming keys for %s...\n",
                         id.c_str());
@@ -374,17 +324,12 @@ main(int argc, char** argv)
         }
     }
 
-    int listen_fd = -1;
-    bool listening = false;
-    if (!gStop.load()) {
-        listen_fd = serve::wire::listenUnix(socket_path);
-        if (listen_fd < 0) {
+    if (!server.stopping()) {
+        if (!server.listen()) {
             std::fprintf(stderr, "zkperfd: cannot listen on %s: %s\n",
                          socket_path.c_str(), std::strerror(errno));
             return 1;
         }
-        listening = true;
-        gListenFd.store(listen_fd);
         std::printf("zkperfd: serving %s on %s (workers=%zu "
                     "queue=%zu prove-threads=%zu sha256=%s)\n",
                     circuit_name, socket_path.c_str(),
@@ -401,13 +346,13 @@ main(int argc, char** argv)
     if (metrics_interval > 0) {
         if (metrics_file.empty())
             metrics_file = "/tmp/zkperfd.metrics.json";
-        metrics_thread = std::thread([&service, &metrics_file,
+        metrics_thread = std::thread([&service, &server, &metrics_file,
                                       metrics_interval] {
             using namespace std::chrono;
             auto next = steady_clock::now() +
                         duration_cast<steady_clock::duration>(
                             duration<double>(metrics_interval));
-            while (!gStop.load()) {
+            while (!server.stopping()) {
                 std::this_thread::sleep_for(milliseconds(100));
                 if (steady_clock::now() < next)
                     continue;
@@ -418,58 +363,13 @@ main(int argc, char** argv)
         });
     }
 
-    std::vector<std::unique_ptr<Connection>> conns;
-    // Join, close, and forget connections whose handler finished, so
-    // neither fds, Connection entries, nor unjoined threads pile up
-    // over the daemon's lifetime.
-    auto reap = [&conns] {
-        for (auto it = conns.begin(); it != conns.end();) {
-            if ((*it)->done.load(std::memory_order_acquire)) {
-                (*it)->thread.join();
-                ::close((*it)->fd);
-                it = conns.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    };
-    while (listening && !gStop.load()) {
-        const int fd = ::accept(listen_fd, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR && !gStop.load())
-                continue;
-            break;
-        }
-        reap();
-        auto conn = std::make_unique<Connection>();
-        conn->fd = fd;
-        Connection* c = conn.get();
-        conn->thread = std::thread([&service, c] {
-            serveConnection(service, c->fd);
-            c->done.store(true, std::memory_order_release);
-        });
-        conns.push_back(std::move(conn));
-    }
-
+    server.run();
     std::printf("zkperfd: draining...\n");
     std::fflush(stdout);
-    if (listen_fd >= 0)
-        ::close(listen_fd);
-    // Nudge connections still blocked in read; their threads exit on
-    // the resulting EOF. In-flight requests still complete. Finished
-    // connections keep their fd open until joined below, so this
-    // never touches a recycled descriptor.
-    for (auto& c : conns)
-        if (!c->done.load(std::memory_order_acquire))
-            ::shutdown(c->fd, SHUT_RD);
-    for (auto& c : conns) {
-        c->thread.join();
-        ::close(c->fd);
-    }
-    conns.clear();
     service.drain();
-    if (listening)
-        ::unlink(socket_path.c_str());
+    // run() also returns when accept() fails; stop the metrics
+    // thread either way.
+    server.stop();
     if (metrics_thread.joinable())
         metrics_thread.join();
 

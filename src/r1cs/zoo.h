@@ -12,8 +12,8 @@
  * check) fails loudly.
  *
  * Consumers: bench_circuits (catalog-driven Groth16/PlonK pipeline
- * sweeps), profile_pipeline --circuit, bench_serve's workload mix,
- * zkperfd's zoo-keyed circuit hosts, and the property suites.
+ * sweeps), profile_pipeline --circuit, zkperfd's zoo-keyed circuit
+ * hosts, and the property suites.
  */
 
 #ifndef ZKP_R1CS_ZOO_H

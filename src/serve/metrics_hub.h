@@ -19,10 +19,10 @@
  * per request (microseconds against the milliseconds a prove costs).
  *
  * Scrapers (the stats/v2 wire op, zkperfd's --metrics-interval file,
- * bench_serve's cross-check) call snapshotLanes(): a coherent copy of
- * every lane using the same count-stable snapshot loop the metrics
- * exporters use, safe against concurrent writers (the TSan-covered
- * contract — tests/test_serve_metrics.cpp).
+ * the ServeServer tests' cross-check) call snapshotLanes(): a
+ * coherent copy of every lane using the same count-stable snapshot
+ * loop the metrics exporters use, safe against concurrent writers
+ * (the TSan-covered contract — tests/test_serve_metrics.cpp).
  *
  * The JSON rendering (statsJson) follows the zkperf-run-report
  * convention of a top-level "schema" tag: "zkperf-serve-stats/2".

@@ -4,23 +4,33 @@
  * Groth16 host at a small circuit size, plus scheduling semantics
  * (backpressure, priority, deadlines, cancellation, verify batching,
  * drain/shutdown) driven deterministically through a latch-controlled
- * synthetic host. Runs under the TSan CI job.
+ * synthetic host, and the socket server (serve::Server) driven over a
+ * real Unix socket by in-process clients. Runs under the TSan and
+ * ASan+UBSan CI jobs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "serve/circuit_host.h"
 #include "serve/protocol.h"
+#include "serve/server.h"
 #include "serve/service.h"
 #include "serve/stark_host.h"
 
@@ -792,6 +802,472 @@ TEST(StarkServing, MimcHostAndMalformedInputs)
                   .result.get()
                   .status,
               Status::InvalidRequest);
+}
+
+// ---------------------------------------------------------------------
+// The socket server, in-process over a real Unix socket
+// ---------------------------------------------------------------------
+
+/** A socket path under /tmp unique to this process and test. */
+std::string
+testSocketPath()
+{
+    const auto* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return "/tmp/zkp_" + std::to_string(::getpid()) + "_" +
+           info->name() + ".sock";
+}
+
+/** A Server on testSocketPath(), running on its own thread. */
+class RunningServer
+{
+  public:
+    explicit RunningServer(ProofService& service)
+        : server_(service, testSocketPath())
+    {
+        listening_ = server_.listen();
+        thread_ = std::thread([this] {
+            server_.run();
+            returned_.store(true);
+        });
+    }
+
+    ~RunningServer() { stop(); }
+
+    RunningServer(const RunningServer&) = delete;
+    RunningServer& operator=(const RunningServer&) = delete;
+
+    /** stop() the server and wait for run() to return. */
+    void
+    stop()
+    {
+        server_.stop();
+        if (thread_.joinable())
+            thread_.join();
+    }
+
+    Server& server() { return server_; }
+    bool listening() const { return listening_; }
+    bool returned() const { return returned_.load(); }
+    const std::string& path() const { return server_.socketPath(); }
+
+  private:
+    Server server_;
+    bool listening_ = false;
+    std::atomic<bool> returned_{false};
+    std::thread thread_;
+};
+
+/**
+ * One client connection, closed on destruction. Reads time out after
+ * 30 s, so a server that never answers fails the test instead of
+ * hanging it.
+ */
+class Client
+{
+  public:
+    explicit Client(const std::string& path)
+        : fd_(wire::connectUnix(path))
+    {
+        const timeval timeout{30, 0};
+        if (fd_ >= 0)
+            ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout));
+    }
+
+    ~Client() { close(); }
+
+    Client(const Client&) = delete;
+    Client& operator=(const Client&) = delete;
+
+    int fd() const { return fd_; }
+
+    void
+    close()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+        fd_ = -1;
+    }
+
+    /** Send @p req and read one reply; nullopt if none came. */
+    std::optional<wire::Frame>
+    call(const wire::Frame& req)
+    {
+        wire::Frame resp;
+        if (!wire::writeFrame(fd_, req) || !wire::readFrame(fd_, resp))
+            return std::nullopt;
+        return resp;
+    }
+
+    /** A Result reply to @p req, decoded; nullopt otherwise. */
+    std::optional<wire::Result>
+    request(const wire::Frame& req)
+    {
+        auto resp = call(req);
+        if (!resp || resp->type != wire::MsgType::Result)
+            return std::nullopt;
+        return wire::decodeResult(resp->body);
+    }
+
+    bool
+    ping()
+    {
+        wire::Frame req;
+        req.type = wire::MsgType::Ping;
+        auto resp = call(req);
+        return resp && resp->type == wire::MsgType::Pong;
+    }
+
+    /** True when the server closed its end (not on a read timeout). */
+    bool
+    seesEof()
+    {
+        std::uint8_t b;
+        return ::recv(fd_, &b, 1, 0) == 0;
+    }
+
+  private:
+    int fd_;
+};
+
+wire::Frame
+proveFrame(const std::string& circuit, std::vector<std::uint8_t> pub,
+           std::vector<std::uint8_t> priv)
+{
+    wire::ProveRequest m;
+    m.circuit = circuit;
+    m.publicInputs = std::move(pub);
+    m.privateInputs = std::move(priv);
+    wire::Frame f;
+    f.type = wire::MsgType::ProveRequest;
+    f.body = wire::encodeProveRequest(m);
+    return f;
+}
+
+wire::Frame
+verifyFrame(const std::string& circuit, std::vector<std::uint8_t> pub,
+            std::vector<std::uint8_t> proof)
+{
+    wire::VerifyRequest m;
+    m.priority = Priority::Batch;
+    m.circuit = circuit;
+    m.publicInputs = std::move(pub);
+    m.proof = std::move(proof);
+    wire::Frame f;
+    f.type = wire::MsgType::VerifyRequest;
+    f.body = wire::encodeVerifyRequest(m);
+    return f;
+}
+
+/** The {...} value of every @p key in @p json, in document order. */
+std::vector<std::string>
+objectsAt(const std::string& json, const std::string& key)
+{
+    std::vector<std::string> out;
+    const std::string pat = "\"" + key + "\":{";
+    for (auto p = json.find(pat); p != std::string::npos;
+         p = json.find(pat, p + 1)) {
+        const auto start = p + pat.size() - 1;
+        int depth = 0;
+        for (auto i = start; i < json.size(); ++i) {
+            if (json[i] == '{') {
+                ++depth;
+            } else if (json[i] == '}' && --depth == 0) {
+                out.push_back(json.substr(start, i + 1 - start));
+                break;
+            }
+        }
+    }
+    return out;
+}
+
+/** Poll @p done every millisecond for up to 30 s. */
+template <typename Pred>
+bool
+eventually(Pred done)
+{
+    for (int i = 0; i < 30000 && !done(); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return done();
+}
+
+/** Median of @p v (upper median for an even count); 0 when empty. */
+double
+median(std::vector<double> v)
+{
+    if (v.empty())
+        return 0;
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+}
+
+TEST(ServeServer, SmokeLoadAgreesWithServerTelemetry)
+{
+    // zkperfd's smoke shape: 200 closed-loop requests from 4 clients,
+    // a quarter of them batch-priority verifies of the client's latest
+    // proof, beside a registered setup-free STARK host.
+    constexpr int kRequests = 200;
+    constexpr int kClients = 4;
+    ProofService service(testConfig(2, 16));
+    service.registerCircuit(
+        makeExponentiationHost<snark::Bn254>("exp6", kSmallExp));
+    service.registerCircuit(makeStarkFibHost("stark-fib:64", 64));
+    RunningServer server(service);
+    ASSERT_TRUE(server.listening());
+
+    std::atomic<int> issued{0};
+    std::atomic<int> failures{0};
+    std::vector<std::vector<double>> proveSecs(kClients);
+    std::vector<std::vector<double>> verifySecs(kClients);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c)
+        clients.emplace_back([&, c] {
+            Client client(server.path());
+            Rng rng(7001 + (u64)c);
+            std::vector<std::uint8_t> lastPub, lastProof;
+            for (int n; (n = issued.fetch_add(1)) < kRequests;) {
+                const bool verify =
+                    !lastProof.empty() && rng.nextBelow(4) == 0;
+                auto [pub, priv] = expInputs(5000 + (u64)n);
+                if (verify)
+                    pub = lastPub;
+                const auto t0 = std::chrono::steady_clock::now();
+                const auto r =
+                    client.request(verify
+                                       ? verifyFrame("exp6", pub,
+                                                     lastProof)
+                                       : proveFrame("exp6", pub, priv));
+                const double secs =
+                    std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+                if (!r || r->status != Status::Ok ||
+                    (verify && !r->valid)) {
+                    failures.fetch_add(1);
+                    continue;
+                }
+                (verify ? verifySecs : proveSecs)[c].push_back(secs);
+                if (!verify) {
+                    lastPub = std::move(pub);
+                    lastProof = r->proof;
+                }
+            }
+        });
+    for (auto& t : clients)
+        t.join();
+
+    std::vector<double> proves, verifies;
+    for (int c = 0; c < kClients; ++c) {
+        proves.insert(proves.end(), proveSecs[c].begin(),
+                      proveSecs[c].end());
+        verifies.insert(verifies.end(), verifySecs[c].begin(),
+                        verifySecs[c].end());
+    }
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(proves.size() + verifies.size(), (std::size_t)kRequests);
+    ASSERT_FALSE(verifies.empty());
+
+    // The stats/v2 scrape over the socket.
+    Client scraper(server.path());
+    wire::Frame statsReq;
+    statsReq.type = wire::MsgType::StatsV2Request;
+    const auto statsResp = scraper.call(statsReq);
+    ASSERT_TRUE(statsResp.has_value());
+    ASSERT_EQ(statsResp->type, wire::MsgType::StatsV2Response);
+    const auto stats = wire::decodeStatsV2Response(statsResp->body);
+    ASSERT_TRUE(stats.has_value());
+    const std::string& json = stats->json;
+    EXPECT_EQ(json.rfind("{\"schema\":\"zkperf-serve-stats/2\"", 0), 0u)
+        << json.substr(0, 200);
+    const auto service_obj = objectsAt(json, "service");
+    ASSERT_EQ(service_obj.size(), 1u);
+    for (const char* key :
+         {"workers", "queue_capacity", "queue_depth", "in_flight",
+          "uptime_seconds", "accepted", "completed",
+          "rejected_queue_full"})
+        EXPECT_NE(service_obj[0].find("\"" + std::string(key) + "\":"),
+                  std::string::npos)
+            << "service missing " << key;
+    EXPECT_NE(service_obj[0].find("\"completed\":200,"),
+              std::string::npos)
+        << service_obj[0];
+    const auto cache_obj = objectsAt(json, "cache");
+    ASSERT_EQ(cache_obj.size(), 1u);
+    EXPECT_NE(cache_obj[0].find("\"keyless_serves\":"),
+              std::string::npos);
+
+    const ServiceStatsSnapshot snap = service.snapshotStats();
+    EXPECT_EQ(snap.completed, (std::uint64_t)kRequests);
+    EXPECT_GE(snap.cache.builds, 1u);
+    ASSERT_FALSE(snap.lanes.empty());
+    // Every lane carries every distribution field.
+    for (const char* dist :
+         {"queue_wait_us", "key_wait_us", "exec_us", "serialize_us",
+          "e2e_us", "deadline_slack_us", "verify_batch"}) {
+        const auto objs = objectsAt(json, dist);
+        EXPECT_EQ(objs.size(), snap.lanes.size()) << dist;
+        for (const auto& obj : objs)
+            for (const char* field :
+                 {"count", "mean", "p50", "p99", "p999", "min", "max"})
+                EXPECT_NE(obj.find("\"" + std::string(field) + "\":"),
+                          std::string::npos)
+                    << dist << " missing " << field;
+    }
+
+    bool proveInteractive = false;
+    std::uint64_t completed = 0, shed = 0, missed = 0, canceled = 0;
+    for (const auto& lane : snap.lanes) {
+        proveInteractive |= lane.kind == OpKind::Prove &&
+                            lane.priority == Priority::Interactive;
+        EXPECT_EQ(lane.e2eUs.count, lane.completed + lane.errors);
+        completed += lane.completed;
+        shed += lane.shed;
+        missed += lane.deadlineMiss;
+        canceled += lane.canceled;
+    }
+    EXPECT_TRUE(proveInteractive);
+    // The lanes are the only record: each total is its lane sum.
+    EXPECT_EQ(snap.completed, completed);
+    EXPECT_EQ(snap.rejectedQueueFull, shed);
+    EXPECT_EQ(snap.deadlineExceeded, missed);
+    EXPECT_EQ(snap.canceled, canceled);
+
+    // A request's server lifespan (arrive -> replied) lies inside the
+    // client's window, so the server p50 can pass the client p50 only
+    // through a clock or unit bug. 2x + 10 ms absorbs the log2
+    // histogram's in-bucket interpolation.
+    for (const auto kind : {OpKind::Prove, OpKind::Verify}) {
+        const double clientP50 =
+            median(kind == OpKind::Prove ? proves : verifies);
+        for (const auto& lane : snap.lanes) {
+            if (lane.kind == kind && lane.e2eUs.count > 0) {
+                EXPECT_LE(lane.e2eUs.quantile(0.5) / 1e6,
+                          2 * clientP50 + 0.010)
+                    << opKindName(kind) << " server p50 vs client p50 "
+                    << clientP50;
+            }
+        }
+    }
+}
+
+TEST(ServeServer, UnknownTypeDropsOnlyItsConnection)
+{
+    ProofService service(testConfig(1, 8));
+    RunningServer server(service);
+    ASSERT_TRUE(server.listening());
+    Client a(server.path()), b(server.path());
+    ASSERT_TRUE(a.ping());
+    ASSERT_TRUE(b.ping());
+
+    // An undecodable request body is answered, not dropped.
+    wire::Frame garbled;
+    garbled.type = wire::MsgType::ProveRequest;
+    garbled.body = {0x01};
+    const auto r = a.request(garbled);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->status, Status::InvalidRequest);
+
+    wire::Frame unknown;
+    unknown.type = (wire::MsgType)0x7f;
+    ASSERT_TRUE(wire::writeFrame(a.fd(), unknown));
+    EXPECT_TRUE(a.seesEof());
+
+    EXPECT_TRUE(b.ping());
+    Client c(server.path());
+    EXPECT_TRUE(c.ping());
+}
+
+TEST(ServeServer, ClientClosingMidProveLeavesServerServing)
+{
+    auto ctl = std::make_shared<HostControl>();
+    ProofService service(testConfig(1, 8));
+    service.registerCircuit(makeLatchHost("latch", ctl));
+    RunningServer server(service);
+    ASSERT_TRUE(server.listening());
+
+    Client leaver(server.path());
+    ASSERT_TRUE(wire::writeFrame(leaver.fd(), proveFrame("latch", {1}, {})));
+    ctl->awaitStarts(1);
+    leaver.close();
+    ctl->release();
+
+    // The reply to the vanished client fails to send; nothing else.
+    Client other(server.path());
+    EXPECT_TRUE(other.ping());
+    const auto r = other.request(proveFrame("latch", {2}, {}));
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->status, Status::Ok);
+    // One worker: the abandoned prove settled before this one ran.
+    EXPECT_EQ(service.snapshotStats().completed, 2u);
+}
+
+TEST(ServeServer, StopDrainsOpenConnectionsAndSettlesRequests)
+{
+    auto ctl = std::make_shared<HostControl>();
+    ProofService service(testConfig(1, 8));
+    service.registerCircuit(makeLatchHost("latch", ctl));
+    RunningServer server(service);
+    ASSERT_TRUE(server.listening());
+
+    // Four accepted connections: idle, half a frame sent, a prove in
+    // flight, and a prove queued behind it.
+    Client idle(server.path()), half(server.path());
+    Client inFlight(server.path()), queued(server.path());
+    for (Client* c : {&idle, &half, &inFlight, &queued})
+        ASSERT_TRUE(c->ping());
+    ASSERT_TRUE(
+        wire::writeFrame(inFlight.fd(), proveFrame("latch", {1}, {})));
+    ctl->awaitStarts(1);
+    ASSERT_TRUE(
+        wire::writeFrame(queued.fd(), proveFrame("latch", {2}, {})));
+    const auto payload = wire::encodePayload(proveFrame("latch", {3}, {}));
+    const std::uint32_t len = (std::uint32_t)payload.size();
+    const std::uint8_t prefix[4] = {
+        (std::uint8_t)len, (std::uint8_t)(len >> 8),
+        (std::uint8_t)(len >> 16), (std::uint8_t)(len >> 24)};
+    ASSERT_EQ(::send(half.fd(), prefix, 4, 0), 4);
+    ASSERT_EQ(::send(half.fd(), payload.data(), payload.size() / 2, 0),
+              (ssize_t)(payload.size() / 2));
+    ASSERT_TRUE(eventually(
+        [&] { return service.snapshotStats().queueDepth == 1; }));
+
+    server.server().stop();
+    // The connections blocked in read close at once; run() waits for
+    // the two proves.
+    EXPECT_TRUE(idle.seesEof());
+    EXPECT_TRUE(half.seesEof());
+    EXPECT_FALSE(server.returned());
+
+    ctl->release();
+    for (Client* c : {&inFlight, &queued}) {
+        wire::Frame resp;
+        ASSERT_TRUE(wire::readFrame(c->fd(), resp));
+        ASSERT_EQ(resp.type, wire::MsgType::Result);
+        const auto r = wire::decodeResult(resp.body);
+        ASSERT_TRUE(r.has_value());
+        EXPECT_EQ(r->status, Status::Ok);
+        EXPECT_TRUE(c->seesEof());
+    }
+    // On failure the clients close first, so the join cannot hang.
+    ASSERT_TRUE(eventually([&] { return server.returned(); }));
+    EXPECT_NE(::access(server.path().c_str(), F_OK), 0);
+    const ServiceStatsSnapshot snap = service.snapshotStats();
+    EXPECT_EQ(snap.accepted, 2u);
+    EXPECT_EQ(snap.completed, 2u);
+}
+
+TEST(ServeServer, StopBeforeListenReturnsAtOnce)
+{
+    // zkperfd's signal-during-prewarm path: a stop() that precedes
+    // listen() still ends run() without waiting for a connection.
+    ProofService service(testConfig(1, 1));
+    Server server(service, testSocketPath());
+    server.stop();
+    ASSERT_TRUE(server.listen());
+    server.run();
+    EXPECT_TRUE(server.stopping());
+    EXPECT_NE(::access(server.socketPath().c_str(), F_OK), 0);
 }
 
 } // namespace
