@@ -182,7 +182,7 @@ main(int argc, char** argv)
     if (hasFlag(argc, argv, "--smoke"))
         return smoke();
     const bool full = hasFlag(argc, argv, "--full");
-    const auto threads = (std::size_t)envLong("ZKP_BENCH_THREADS", 1);
+    const auto threads = (std::size_t)envLong("ZKP_BENCH_THREADS", 1, 1, 1024);
     std::printf("bench_circuits: zoo sweep under Groth16 and PlonK "
                 "(--list / --smoke / --full)\n");
     runCurve<zkp::snark::Bn254>(full, threads);

@@ -1,18 +1,26 @@
 /**
  * @file
- * E0–E9 — the paper's ten measurement artifacts from one driver: the
- * §IV-B execution-time breakdown, Figs. 4–7 and Tables II–VI.
+ * E0–E11 — the paper's measurement artifacts from one driver: the
+ * §IV-B execution-time breakdown, Figs. 4–7, Tables II–VI, the
+ * methodology ablations and the §IV-A proving-scheme comparison.
  *
  *   bench_paper [--hw] [artifact...]
  *
  * An artifact is one of exec fig4 fig5 fig6 fig7 table2 table3 table4
- * table5 table6; with none given, all ten run. Each core analysis
- * sweep runs at most once per curve, and every selected artifact reads
- * from that one result:
+ * table5 table6 ablation schemes; with none given, all twelve run. Each
+ * core analysis sweep runs at most once per curve, and every selected
+ * artifact reads from that one result:
  *   - fig5, table2 and table3 share the memory sweep;
  *   - table4 and table5 share the code sweep;
  *   - fig6 and table6 share the strong-scaling sweep;
  *   - fig7 and table6 share the weak-scaling sweep.
+ *
+ * ablation (E10) runs on BN254 only: A3 repeats the memory analysis at
+ * the largest size under four trace sampling masks, and A4 times the
+ * simulator's counting probe. schemes (E11) proves the exponentiation
+ * statement with Groth16 and PlonK on both curves and, on BN254, an
+ * n-step MiMC STARK; a proof that fails to verify makes bench_paper
+ * exit 1 after printing.
  *
  * --hw swaps fig4, table2 and table3 for simulated-vs-PMU tables at the
  * largest size; one measured pipeline run per curve serves all three.
@@ -26,8 +34,14 @@
 
 #include <algorithm>
 #include <map>
+#include <type_traits>
 
 #include "bench_util.h"
+#include "snark/plonk.h"
+#include "snark/serialize.h"
+#include "stark/air.h"
+#include "stark/serialize.h"
+#include "stark/stark.h"
 
 namespace zkp::bench {
 namespace {
@@ -47,6 +61,8 @@ enum Artifact : std::size_t
     kTable4,
     kTable5,
     kTable6,
+    kAblation,
+    kSchemes,
     kNumArtifacts
 };
 
@@ -73,6 +89,9 @@ const std::array<ArtifactInfo, kNumArtifacts> kArtifacts{{
                "sizes)"},
     {"table6", "E9 Table VI: Amdahl/Gustafson serial-parallel split (i9 "
                "model)"},
+    {"ablation", "E10 methodology ablations: trace sampling vs MPKI, "
+                 "counting probe cost"},
+    {"schemes", "E11 §IV-A: Groth16 vs PlonK vs transparent STARK"},
 }};
 
 using Selection = std::array<bool, kNumArtifacts>;
@@ -96,6 +115,7 @@ struct PaperValues
     const char* fig6;
     const char* fig7;
     const char* table4;
+    const char* schemes;
     /// i7-BN, i7-BLS, i5-BN, i5-BLS, i9-BN, i9-BLS max MPKI.
     PerStage<6> table2;
     /// GB/s per stage: BN, then BLS.
@@ -115,6 +135,8 @@ const PaperValues kPaper{
             "proving the most scalable compute stage",
     .table4 = "paper reference: compile ~12% malloc, ~8% memcpy, ~5% "
               "bigint; proving ~10% memcpy; verifying ~10% bigint",
+    .schemes = "paper reference (§IV-A): PlonK proving is about 2x "
+               "slower than Groth16",
     .table2 = {{
         {"0.32", "0.34", "0.32", "0.22", "0.18", "0.22"},
         {"0.04", "0.03", "0.08", "0.06", "0.05", "0.03"},
@@ -150,6 +172,28 @@ const PaperValues kPaper{
 /** One value per stage, in core::kAllStages order. */
 using StageValues = std::array<double, kNumStages>;
 
+enum Scheme : std::size_t
+{
+    kGroth16,
+    kPlonk,
+    kStark,
+    kNumSchemes
+};
+
+const std::array<const char*, kNumSchemes> kSchemeNames{"groth16", "plonk",
+                                                        "stark"};
+
+/** One scheme at one size: mean wall seconds over repeats() (E11). */
+struct SchemeTimes
+{
+    double setup = 0, prove = 0, verify = 0;
+    std::size_t proofBytes = 0;
+    bool verified = true;
+};
+
+/** E10 A3 sampling masks: trace 1 in (mask + 1) accesses. */
+const std::array<sim::u32, 4> kSampleMasks{0, 1, 3, 7};
+
 /** Everything one curve's selected artifacts read. */
 struct Sweeps
 {
@@ -163,6 +207,13 @@ struct Sweeps
     std::vector<core::WeakScalingCurve> weak;
     /// PMU statistics per stage at the largest size (--hw).
     std::array<obs::pmu::HwStats, kNumStages> hw{};
+    /// E11 per swept size, by Scheme; kStark is empty off BN254.
+    std::vector<std::array<SchemeTimes, kNumSchemes>> schemes;
+    /// E10 A3 (BN254): the memory sweep at the largest size, once per
+    /// kSampleMasks entry.
+    std::vector<std::vector<core::MemoryCell>> sampled;
+    /// E10 A4 (BN254): ns per Fq multiply, counting off then on.
+    std::array<double, 2> probeNs{};
 };
 
 std::string
@@ -190,6 +241,138 @@ timeStages(const std::vector<std::size_t>& sizes)
         out.push_back(secs);
     }
     return out;
+}
+
+/**
+ * @p setup, @p prove and @p verify run in turn repeats() times, each
+ * proof against its own keys; the means go in the result. A failed
+ * verify clears `verified`.
+ */
+template <typename Setup, typename Prove, typename Verify, typename Bytes>
+SchemeTimes
+timeScheme(Setup setup, Prove prove, Verify verify, Bytes bytes)
+{
+    const unsigned reps = repeats();
+    SchemeTimes t;
+    for (unsigned r = 0; r < reps; ++r) {
+        Timer timer;
+        const auto keys = setup();
+        t.setup += timer.lap();
+        const auto proof = prove(keys);
+        t.prove += timer.lap();
+        t.verified &= verify(keys, proof);
+        t.verify += timer.lap();
+        t.proofBytes = bytes(proof);
+    }
+    t.setup /= reps;
+    t.prove /= reps;
+    t.verify /= reps;
+    return t;
+}
+
+/**
+ * E11: Groth16 on ExponentiationCircuit and PlonK on PlonkExponentiation
+ * at each size, both proving y = x^n; with @p stark, also an n-step
+ * MiMC STARK, which has no setup. The STARK and the SNARKs share no
+ * statement, so the rows align on work size: one algebraic hash-like
+ * operation per constraint or trace row.
+ */
+template <typename Curve>
+std::vector<std::array<SchemeTimes, kNumSchemes>>
+runSchemes(const std::vector<std::size_t>& sizes, bool stark)
+{
+    using Fr = typename Curve::Fr;
+    using G = snark::Groth16<Curve>;
+    using P = snark::Plonk<Curve>;
+    std::vector<std::array<SchemeTimes, kNumSchemes>> out;
+    for (std::size_t n : sizes) {
+        Rng rng(2024);
+        const Fr x = Fr::random(rng);
+        auto& row = out.emplace_back();
+
+        r1cs::ExponentiationCircuit<Fr> gcirc(n);
+        const auto cs = gcirc.builder.compile();
+        const std::vector<Fr> pub{gcirc.evaluate(x)};
+        const auto z =
+            r1cs::WitnessCalculator<Fr>(gcirc.builder.witnessProgram())
+                .compute(pub, {x});
+        row[kGroth16] = timeScheme(
+            [&] { return G::setup(cs, rng); },
+            [&](const auto& keys) { return G::prove(keys.pk, cs, z, rng); },
+            [&](const auto& keys, const auto& proof) {
+                return G::verify(keys.vk, pub, proof);
+            },
+            [](const auto& proof) {
+                return snark::serializeProof<Curve>(proof).size();
+            });
+
+        snark::PlonkExponentiation<Fr> pcirc(n);
+        const auto values = pcirc.assign(x);
+        row[kPlonk] = timeScheme(
+            [&] { return P::setup(pcirc.builder, rng); },
+            [&](const auto& keys) {
+                return P::prove(keys.pk, values, pub, rng);
+            },
+            [&](const auto& keys, const auto& proof) {
+                return P::verify(keys.vk, pub, proof);
+            },
+            [](const auto& proof) {
+                return snark::serializePlonkProof<Curve>(proof).size();
+            });
+
+        if (stark) {
+            const stark::MimcAir air(n, stark::Gl::fromU64(7));
+            const stark::StarkParams params{};
+            row[kStark] = timeScheme(
+                [] { return 0; },
+                [&](int) { return stark::prove(air, params, 1); },
+                [&](int, const auto& proof) {
+                    return stark::verify(air, params, proof);
+                },
+                [](const auto& proof) {
+                    return stark::proofByteSize(proof);
+                });
+        }
+        for (std::size_t s = 0; s < kNumSchemes; ++s)
+            if (!row[s].verified)
+                std::fprintf(stderr, "bench_paper: %s proof at n=2^%u "
+                                     "failed to verify (%s sweep)\n",
+                             kSchemeNames[s], log2Of(n), Curve::kName);
+    }
+    return out;
+}
+
+/**
+ * E10 A4: ns per multiply of a dependent BN254 Fq multiply chain with
+ * counting off, which is what every prove outside an analysis runs,
+ * then inside a CountingScope, which is what StageRunner's stages run.
+ * The two alternate and each keeps its fastest of five, so a slow
+ * spell on a shared host does not land on one side only.
+ */
+std::array<double, 2>
+probeCost()
+{
+    using Fq = ff::bn254::Fq;
+    Rng rng(12);
+    const Fq b = Fq::random(rng);
+    auto chainNs = [&] {
+        Fq a = Fq::random(rng);
+        const std::size_t iters = 2'000'000;
+        Timer t;
+        for (std::size_t i = 0; i < iters; ++i)
+            a = a * b;
+        const double ns = t.nanos() / iters;
+        if (a.isZero())
+            std::printf("!! ablation multiply chain hit zero\n");
+        return ns;
+    };
+    std::array<double, 2> ns{1e300, 1e300};
+    for (int rep = 0; rep < 5; ++rep) {
+        ns[0] = std::min(ns[0], chainNs());
+        const sim::CountingScope counting;
+        ns[1] = std::min(ns[1], chainNs());
+    }
+    return ns;
 }
 
 /**
@@ -244,11 +427,23 @@ runSweeps(const Selection& want, bool hw,
     }
     if (want[kFig7] || want[kTable6]) {
         const std::size_t base = std::size_t(1)
-                                 << envLong("ZKP_WS_BASE_LOG_N", 10);
+                                 << envLong("ZKP_WS_BASE_LOG_N", 10, 1, 30);
         out.weak = core::runWeakScaling<Curve>(base, kWeakThreads, i9);
     }
     if (hw && (want[kFig4] || want[kTable2] || want[kTable3]))
         out.hw = measureHwStages<Curve>(sizes.back());
+    // E10 and the STARK column of E11 run on BN254 only.
+    constexpr bool bn254 = std::is_same_v<Curve, snark::Bn254>;
+    if (want[kSchemes])
+        out.schemes = runSchemes<Curve>(sizes, bn254);
+    if (want[kAblation] && bn254) {
+        cfg.sizes = largest;
+        for (sim::u32 mask : kSampleMasks) {
+            cfg.sampleMask = mask;
+            out.sampled.push_back(core::runMemoryAnalysis<Curve>(cfg));
+        }
+        out.probeNs = probeCost();
+    }
     return out;
 }
 
@@ -387,12 +582,21 @@ printFig4Hw(const Sweeps& sw, std::size_t n)
 
 /** The memory cell of @p s at size @p n. */
 const core::MemoryCell&
-memoryCell(const Sweeps& sw, Stage s, std::size_t n)
+memoryCell(const std::vector<core::MemoryCell>& cells, Stage s,
+           std::size_t n)
 {
-    return *std::find_if(sw.memory.begin(), sw.memory.end(),
+    return *std::find_if(cells.begin(), cells.end(),
                          [&](const core::MemoryCell& c) {
                              return c.stage == s && c.constraints == n;
                          });
+}
+
+/** The statistics of CPU model @p cpu in @p cell. */
+const core::MemoryCell::PerCpu&
+onCpu(const core::MemoryCell& cell, const char* cpu)
+{
+    return *std::find_if(cell.perCpu.begin(), cell.perCpu.end(),
+                         [&](const auto& pc) { return pc.cpu == cpu; });
 }
 
 void
@@ -404,8 +608,8 @@ printFig5(const Sweeps& bn, const Sweeps& bls,
         table.setHeader({"stage", "n", "BN128", "BLS12-381", "avg"});
         for (Stage s : core::kAllStages) {
             for (std::size_t n : sizes) {
-                const auto& a = memoryCell(bn, s, n);
-                const auto& b = memoryCell(bls, s, n);
+                const auto& a = memoryCell(bn.memory, s, n);
+                const auto& b = memoryCell(bls.memory, s, n);
                 const double x = loads ? a.loads : a.stores;
                 const double y = loads ? b.loads : b.stores;
                 table.addRow({core::stageName(s), pow2(n),
@@ -422,13 +626,13 @@ printFig5(const Sweeps& bn, const Sweeps& bls,
     // Ratio summary at the largest size (the paper's headline shape).
     const std::size_t last = sizes.back();
     auto avg_loads = [&](Stage s) {
-        return (memoryCell(bn, s, last).loads +
-                memoryCell(bls, s, last).loads) /
+        return (memoryCell(bn.memory, s, last).loads +
+                memoryCell(bls.memory, s, last).loads) /
                2.0;
     };
     auto avg_stores = [&](Stage s) {
-        return (memoryCell(bn, s, last).stores +
-                memoryCell(bls, s, last).stores) /
+        return (memoryCell(bn.memory, s, last).stores +
+                memoryCell(bls.memory, s, last).stores) /
                2.0;
     };
     TextTable ratios;
@@ -553,19 +757,13 @@ printTable2Hw(const Sweeps& sw, std::size_t n)
     table.setHeader({"stage", "sim i7", "sim i5", "sim i9", "measured",
                      "i9/hw"});
     for (Stage s : core::kAllStages) {
-        double i7 = 0, i5 = 0, i9 = 0;
-        for (const auto& pc : memoryCell(sw, s, n).perCpu) {
-            if (pc.cpu == "i7-8650U")
-                i7 = pc.mpki;
-            else if (pc.cpu == "i5-11400")
-                i5 = pc.mpki;
-            else if (pc.cpu == "i9-13900K")
-                i9 = pc.mpki;
-        }
+        const core::MemoryCell& cell = memoryCell(sw.memory, s, n);
+        const double i9 = onCpu(cell, "i9-13900K").mpki;
         const obs::pmu::HwStats& hw = sw.hw[(std::size_t)s];
         const double hw_mpki = hw.llcLoadMpki;
-        table.addRow({core::stageName(s), fmtF(i7, 3), fmtF(i5, 3),
-                      fmtF(i9, 3),
+        table.addRow({core::stageName(s),
+                      fmtF(onCpu(cell, "i7-8650U").mpki, 3),
+                      fmtF(onCpu(cell, "i5-11400").mpki, 3), fmtF(i9, 3),
                       hw.available ? fmtF(hw_mpki, 3) : "n/a",
                       hw.available && hw_mpki > 0
                           ? fmtF(i9 / hw_mpki, 2)
@@ -634,10 +832,8 @@ printTable3Hw(const Sweeps& sw, std::size_t n)
     table.setHeader({"stage", "sim i9 max GB/s", "measured GB/s",
                      "hw LLC MB", "hw seconds"});
     for (Stage s : core::kAllStages) {
-        double sim = 0;
-        for (const auto& pc : memoryCell(sw, s, n).perCpu)
-            if (pc.cpu == "i9-13900K")
-                sim = pc.maxBandwidthGBps;
+        const double sim =
+            onCpu(memoryCell(sw.memory, s, n), "i9-13900K").maxBandwidthGBps;
         const obs::pmu::HwStats& hw = sw.hw[(std::size_t)s];
         const bool ok = hw.available;
         table.addRow({core::stageName(s), fmtF(sim, 2),
@@ -768,6 +964,85 @@ printTable6(const Sweeps& bn, const Sweeps& bls)
                     kPaper.table6);
 }
 
+/**
+ * E11: the PlonK/Groth16 prove ratio per curve, then BN254's three-way
+ * table. Setup is part of that row because it is the transparent
+ * scheme's whole argument: the SNARKs pay a per-circuit trusted setup
+ * that the STARK does not have.
+ */
+void
+printSchemes(const Sweeps& bn, const Sweeps& bls,
+             const std::vector<std::size_t>& sizes)
+{
+    for (const Sweeps* sw : {&bn, &bls}) {
+        TextTable table;
+        table.setHeader({"constraints", "groth16 prove", "plonk prove",
+                         "ratio", "groth16 verify", "plonk verify"});
+        for (std::size_t i = 0; i < sizes.size(); ++i) {
+            const SchemeTimes& g = sw->schemes[i][kGroth16];
+            const SchemeTimes& p = sw->schemes[i][kPlonk];
+            table.addRow({pow2(sizes[i]), fmtSeconds(g.prove),
+                          fmtSeconds(p.prove),
+                          fmtF(p.prove / g.prove, 2) + "x",
+                          fmtSeconds(g.verify), fmtSeconds(p.verify)});
+        }
+        printTable(std::string("E11 PlonK vs Groth16 proving time, ") +
+                       sw->curve,
+                   table);
+    }
+    std::printf("\n%s\n", kPaper.schemes);
+
+    TextTable table;
+    table.setHeader({"n", "scheme", "setup", "prove", "verify",
+                     "proof bytes"});
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+        for (std::size_t s = 0; s < kNumSchemes; ++s) {
+            const SchemeTimes& t = bn.schemes[i][s];
+            table.addRow({pow2(sizes[i]),
+                          std::string(kSchemeNames[s]) +
+                              (s == kStark ? "/gl64" : "/bn254"),
+                          s == kStark ? "none (transparent)"
+                                      : fmtSeconds(t.setup),
+                          fmtSeconds(t.prove), fmtSeconds(t.verify),
+                          std::to_string(t.proofBytes)});
+        }
+    }
+    printTable(std::string("E11 Groth16 vs PlonK vs transparent STARK, ") +
+                   bn.curve,
+               table);
+}
+
+/** E10: A3 on the i9 model, then A4. */
+void
+printAblation(const Sweeps& bn, std::size_t n)
+{
+    TextTable sampling;
+    sampling.setHeader({"sample mask", "traced accesses", "witness MPKI",
+                        "proving MPKI"});
+    for (std::size_t i = 0; i < kSampleMasks.size(); ++i) {
+        const auto mpki = [&](Stage s) {
+            return fmtF(
+                onCpu(memoryCell(bn.sampled[i], s, n), "i9-13900K").mpki, 4);
+        };
+        sampling.addRow({std::to_string(kSampleMasks[i]),
+                         "1/" + std::to_string(kSampleMasks[i] + 1),
+                         mpki(Stage::Witness), mpki(Stage::Proving)});
+    }
+    printTable("E10 A3 trace sampling vs MPKI (i9 model, n=" + pow2(n) +
+                   ", " + bn.curve + ")",
+               sampling);
+
+    TextTable probe;
+    probe.setHeader({"what", "ns/op"});
+    probe.addRow({"a * b, counting off (default)", fmtF(bn.probeNs[0], 2)});
+    probe.addRow({"a * b, inside a CountingScope", fmtF(bn.probeNs[1], 2)});
+    probe.addRow({"counting overhead",
+                  fmtPct(bn.probeNs[1] / bn.probeNs[0] - 1, 1)});
+    printTable(std::string("E10 A4 counting probe cost (Fq multiply, ") +
+                   bn.curve + ")",
+               probe);
+}
+
 /** Print artifact @p a from both curves' sweeps. */
 void
 printArtifact(Artifact a, const Sweeps& bn, const Sweeps& bls,
@@ -822,6 +1097,12 @@ printArtifact(Artifact a, const Sweeps& bn, const Sweeps& bls,
       case kTable6:
         printTable6(bn, bls);
         break;
+      case kAblation:
+        printAblation(bn, largest);
+        break;
+      case kSchemes:
+        printSchemes(bn, bls, sizes);
+        break;
       case kNumArtifacts:
         break;
     }
@@ -850,7 +1131,7 @@ usage()
     std::fprintf(stderr, "usage: bench_paper [--hw] [artifact...]\n"
                          "artifacts (default: all):\n");
     for (const auto& a : kArtifacts)
-        std::fprintf(stderr, "  %-7s %s\n", a.name, a.what);
+        std::fprintf(stderr, "  %-8s %s\n", a.name, a.what);
     return 2;
 }
 
@@ -876,11 +1157,6 @@ run(int argc, char** argv)
         want.fill(true);
 
     const auto sizes = sweepSizes();
-    if (sizes.empty()) {
-        std::fprintf(stderr, "bench_paper: empty size sweep "
-                             "(ZKP_MIN_LOG_N > ZKP_MAX_LOG_N)\n");
-        return 2;
-    }
     std::printf("bench_paper: n=%s..%s, repeats=%u, sample mask=%u\n",
                 pow2(sizes.front()).c_str(), pow2(sizes.back()).c_str(),
                 repeats(), sampleMask());
@@ -896,6 +1172,11 @@ run(int argc, char** argv)
             printArtifact((Artifact)a, bn, bls, sizes, hw);
         }
     }
+    for (const Sweeps* sw : {&bn, &bls})
+        for (const auto& row : sw->schemes)
+            for (const SchemeTimes& t : row)
+                if (!t.verified)
+                    return 1;
     return 0;
 }
 

@@ -1,6 +1,7 @@
 # ctest driver for bench_paper: run every artifact at one small size and
-# check that it exits 0 and prints each artifact's title blocks, then
-# check that an unknown artifact name exits 2.
+# check that it exits 0 (so every E11 proof verified) and prints each
+# artifact's title blocks, then check that an unknown artifact name and
+# a malformed or out-of-range size setting exit 2.
 #
 #   cmake -DBENCH_PAPER=path/to/bench_paper -P bench_paper_smoke.cmake
 
@@ -22,7 +23,8 @@ set(per_curve
     "Fig.4 dominant bucket per CPU (largest n)"
     "Fig.6 strong-scaling speedup on the i9 model"
     "Fig.7 weak-scaling speedup on the i9 model"
-    "Table IV: time-consuming functions")
+    "Table IV: time-consuming functions"
+    "E11 PlonK vs Groth16 proving time")
 set(titles
     "Fig.5 loads per stage"
     "Fig.5 stores per stage"
@@ -33,7 +35,10 @@ set(titles
     "Table V: opcode-type percentages"
     "Table V (paper, for comparison)"
     "Table VI: serial/parallel percentages"
-    "Table VI (paper, for comparison)")
+    "Table VI (paper, for comparison)"
+    "E10 A3 trace sampling vs MPKI (i9 model, n=2^8, BN128)"
+    "E10 A4 counting probe cost (Fq multiply, BN128)"
+    "E11 Groth16 vs PlonK vs transparent STARK, BN128")
 foreach(prefix IN LISTS per_curve)
     list(APPEND titles "${prefix}, BN128" "${prefix}, BLS12-381")
 endforeach()
@@ -68,3 +73,16 @@ execute_process(COMMAND ${BENCH_PAPER} nosuch
 if(NOT rc EQUAL 2)
     message(FATAL_ERROR "bench_paper nosuch exited ${rc}, expected 2")
 endif()
+
+# Settings are checked before anything runs. Only values that are safe
+# to hand to an unchecked reader are tried: a repeat count of 0 and a
+# malformed or oversized log size.
+foreach(setting "ZKP_REPEATS=0" "ZKP_MAX_LOG_N=abc" "ZKP_MAX_LOG_N=64")
+    execute_process(COMMAND ${CMAKE_COMMAND} -E env ${setting}
+            ${BENCH_PAPER} schemes
+        RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+    if(NOT rc EQUAL 2)
+        message(FATAL_ERROR
+            "bench_paper with ${setting} exited ${rc}, expected 2\n${err}")
+    endif()
+endforeach()

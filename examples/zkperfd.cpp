@@ -27,13 +27,14 @@
  *                    skipped by prewarm, and serve their first
  *                    request with zero cold-start (the stats/v2
  *                    "keyless_serves" counter tracks them).
- *   --workers        service worker threads (ZKP_SERVE_THREADS)
- *   --queue          bounded queue capacity (ZKP_SERVE_QUEUE)
+ *   --workers        service worker threads (default 2)
+ *   --queue          bounded queue capacity (default 128)
  *   --prove-threads  parallelFor width per prove (default: all cores)
  *   --no-prewarm     skip building keys at startup (first request
  *                    then pays the singleflight setup)
  *   --metrics-interval  seconds between metrics snapshots written to
- *                    the metrics file (0 = off, the default)
+ *                    the metrics file (0 = off, the default; at most
+ *                    86400)
  *   --metrics-file   where snapshots go (default
  *                    /tmp/zkperfd.metrics.json). Each write replaces
  *                    the file with one zkperf-serve-stats/2 document
@@ -45,7 +46,8 @@
  * Unknown flags are an error (usage + exit 2), not silently ignored,
  * and so is a count that is not a positive decimal integer: the value
  * of --log2, --workers, --queue and --prove-threads, and the part
- * after ':' in --circuit and --stark.
+ * after ':' in --circuit and --stark. So is a --metrics-interval that
+ * is not a finite decimal number in [0, 86400].
  * SIGINT/SIGTERM drain the service (in-flight and queued requests
  * complete, new ones are rejected with ShuttingDown) before exit; on
  * drain a final metrics snapshot is flushed to the metrics file (or
@@ -60,6 +62,7 @@
 #include <cerrno>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -102,12 +105,10 @@ usage(const char* argv0)
 }
 
 int
-badValue(const char* argv0, const char* flag, const char* v)
+badValue(const char* argv0, const char* flag, const char* v,
+         const char* rule = "counts are positive decimal integers")
 {
-    std::fprintf(stderr,
-                 "invalid %s value \"%s\": counts are positive "
-                 "decimal integers\n",
-                 flag, v);
+    std::fprintf(stderr, "invalid %s value \"%s\": %s\n", flag, v, rule);
     return usage(argv0);
 }
 
@@ -154,6 +155,24 @@ parsePositive(std::string_view text, std::size_t& out)
 }
 
 /**
+ * A snapshot interval in seconds: a finite decimal number from 0 to
+ * one day, with no suffix or surrounding space. Anything else leaves
+ * @p out alone and returns false.
+ */
+bool
+parseInterval(std::string_view text, double& out)
+{
+    double v = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end || !std::isfinite(v) || v < 0 ||
+        v > 86400)
+        return false;
+    out = v;
+    return true;
+}
+
+/**
  * Split a "<name>[:n]" flag value into (name, n). n is 0 without a
  * colon; after one it must be a positive decimal integer.
  */
@@ -180,7 +199,7 @@ main(int argc, char** argv)
     // "<name>[:n]" flag values, n = 0 when absent.
     std::vector<std::pair<std::string, std::size_t>> circuit_specs;
     std::vector<std::pair<std::string, std::size_t>> stark_specs;
-    std::size_t workers = 0, queue = 0, prove_threads = 0;
+    serve::ServiceConfig cfg;
     bool prewarm = true;
     double metrics_interval = 0;
     std::string metrics_file;
@@ -207,16 +226,18 @@ main(int argc, char** argv)
             if (!parseSpec(v, stark_specs.emplace_back()))
                 return badValue(argv[0], "--stark", v);
         } else if (const char* v = value("--workers")) {
-            if (!parsePositive(v, workers))
+            if (!parsePositive(v, cfg.workers))
                 return badValue(argv[0], "--workers", v);
         } else if (const char* v = value("--queue")) {
-            if (!parsePositive(v, queue))
+            if (!parsePositive(v, cfg.queueCapacity))
                 return badValue(argv[0], "--queue", v);
         } else if (const char* v = value("--prove-threads")) {
-            if (!parsePositive(v, prove_threads))
+            if (!parsePositive(v, cfg.proveThreads))
                 return badValue(argv[0], "--prove-threads", v);
         } else if (const char* v = value("--metrics-interval")) {
-            metrics_interval = std::atof(v);
+            if (!parseInterval(v, metrics_interval))
+                return badValue(argv[0], "--metrics-interval", v,
+                                "seconds in [0, 86400]");
         } else if (const char* v = value("--metrics-file")) {
             metrics_file = v;
         } else if (std::strcmp(argv[i], "--no-prewarm") == 0) {
@@ -231,10 +252,6 @@ main(int argc, char** argv)
         return usage(argv[0]);
     }
 
-    serve::ServiceConfig cfg;
-    cfg.workers = workers;
-    cfg.queueCapacity = queue;
-    cfg.proveThreads = prove_threads;
     serve::ProofService service(cfg);
     serve::Server server(service, socket_path);
     gServer = &server;

@@ -1,5 +1,6 @@
 # ctest driver for zkperfd's flag checks: every value below is not a
-# positive decimal integer where one is required, so zkperfd must print
+# positive decimal integer where one is required, or not a number of
+# seconds in [0, 86400] for --metrics-interval, so zkperfd must print
 # its usage and exit 2 before it builds a service, starts a thread or
 # binds a socket.
 #
@@ -43,4 +44,7 @@ foreach(value poseidon:-5 poseidon: poseidon:abc poseidon:0)
 endforeach()
 foreach(value mimc:abc fib:-64 mimc:)
     expect_usage(--stark "${value}")
+endforeach()
+foreach(value abc -1 nan inf 1e300 "")
+    expect_usage(--metrics-interval "${value}")
 endforeach()

@@ -46,8 +46,8 @@
  * extraction reports its instruction signature, and the
  * bucket-occupancy branch feeds the branch-predictor model.
  *
- * A naive double-and-add variant is kept alongside as the ablation
- * baseline (bench_ablation).
+ * A naive double-and-add variant is kept alongside as the reference
+ * that the MSM tests compare against.
  */
 
 #ifndef ZKP_EC_MSM_H
@@ -511,7 +511,7 @@ msmCurve(const typename Group::Affine* points,
     return msm<typename Group::Jacobian>(points, scalars, n, threads);
 }
 
-/** Naive double-and-add MSM; ablation baseline for bench_ablation. */
+/** Naive double-and-add MSM; the reference for the MSM tests. */
 template <typename Point, typename Affine, typename ScalarRepr>
 Point
 msmNaive(const Affine* points, const ScalarRepr* scalars, std::size_t n)

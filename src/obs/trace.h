@@ -9,7 +9,9 @@
  * buffer. Recording takes no locks on the hot path beyond an
  * uncontended per-thread flag; when tracing is disabled the scope
  * compiles down to a relaxed atomic load and a branch, so benchmark
- * numbers stay honest (bench_ablation quantifies the probe cost).
+ * numbers stay honest. test_obs_tracing_overhead bounds tracing on vs
+ * off on an MSM, and perfbench's obs.trace_overhead_frac reports it
+ * for whole proves.
  *
  * The collected spans flush to Chrome trace-event JSON, loadable in
  * Perfetto (https://ui.perfetto.dev) or chrome://tracing. Worker

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -40,18 +39,9 @@ namespace zkp::poly {
  * thread pool. Below this the fork-join cost of log2(n) parallel
  * regions exceeds the stage work itself — measured at n = 16384 the
  * 8-thread forward NTT ran SLOWER than single-threaded — so smaller
- * transforms stay serial. Override with ZKP_NTT_PARALLEL_MIN.
+ * transforms stay serial.
  */
-inline std::size_t
-nttParallelMin()
-{
-    static const std::size_t v = [] {
-        if (const char* e = std::getenv("ZKP_NTT_PARALLEL_MIN"))
-            return (std::size_t)std::strtoull(e, nullptr, 0);
-        return std::size_t(1) << 15;
-    }();
-    return v;
-}
+inline constexpr std::size_t kNttParallelMin = std::size_t(1) << 15;
 
 /** Two-adicity data shared by all domains of one field. */
 template <typename Fr>
@@ -296,7 +286,7 @@ class Domain
     static std::size_t
     nttThreads(std::size_t n, std::size_t threads)
     {
-        if (threads > 1 && n < nttParallelMin())
+        if (threads > 1 && n < kNttParallelMin)
             return 1;
         return std::min(threads,
                         std::max<std::size_t>(

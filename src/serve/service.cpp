@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "obs/memprof.h"
@@ -22,22 +21,9 @@ toMicros(double seconds)
 
 } // namespace
 
-std::size_t
-envSize(const char* name, std::size_t fallback)
-{
-    const char* v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    const long parsed = std::atol(v);
-    return parsed > 0 ? (std::size_t)parsed : fallback;
-}
-
 ProofService::ProofService(ServiceConfig cfg)
     : cfg_([&] {
-          if (cfg.workers == 0)
-              cfg.workers = envSize("ZKP_SERVE_THREADS", 2);
-          if (cfg.queueCapacity == 0)
-              cfg.queueCapacity = envSize("ZKP_SERVE_QUEUE", 128);
+          assert(cfg.workers > 0 && cfg.queueCapacity > 0);
           if (cfg.proveThreads == 0) {
               const unsigned hw = std::thread::hardware_concurrency();
               cfg.proveThreads = hw > 0 ? hw : 1;

@@ -38,10 +38,6 @@
  * span-traced ("serve_prove"/"serve_verify" carry the request id as
  * the "rid" argument, so ZKP_TRACE shows request lanes next to
  * kernel lanes, and ZKP_REPORT lists the spans like any bench run).
- *
- * Tuning knobs (flags take precedence over environment):
- *   ZKP_SERVE_THREADS  service worker count (default 2)
- *   ZKP_SERVE_QUEUE    queue capacity (default 128)
  */
 
 #ifndef ZKP_SERVE_SERVICE_H
@@ -118,13 +114,13 @@ struct RequestOptions
     double timeoutSeconds = 0;
 };
 
-/** Service configuration; zeros mean "environment, then default". */
+/** Service configuration. */
 struct ServiceConfig
 {
-    /// Service worker threads (ZKP_SERVE_THREADS, default 2).
-    std::size_t workers = 0;
-    /// Bounded queue capacity (ZKP_SERVE_QUEUE, default 128).
-    std::size_t queueCapacity = 0;
+    /// Service worker threads (positive).
+    std::size_t workers = 2;
+    /// Bounded queue capacity (positive).
+    std::size_t queueCapacity = 128;
     /// parallelFor width per prove; 0 = hardware_concurrency.
     std::size_t proveThreads = 0;
     /// Max verify requests folded into one verifyBatch call.
@@ -259,9 +255,6 @@ class ProofService
     std::atomic<std::uint64_t> invalid_{0};
     std::atomic<std::uint64_t> keylessServes_{0};
 };
-
-/** Read a size_t environment knob with a fallback. */
-std::size_t envSize(const char* name, std::size_t fallback);
 
 } // namespace zkp::serve
 

@@ -41,7 +41,7 @@ using Fr = snark::Bn254::Fr;
 
 constexpr std::size_t kSmallExp = 64; // 2^6 constraints
 
-/** Fixed service shape so environment knobs cannot skew a test. */
+/** Fixed service shape; one prove thread, whatever the host's cores. */
 ServiceConfig
 testConfig(std::size_t workers, std::size_t queue)
 {
