@@ -1,15 +1,16 @@
 /**
  * @file
- * E0–E11 — the paper's measurement artifacts from one driver: the
+ * E0–E14 — the paper's measurement artifacts from one driver: the
  * §IV-B execution-time breakdown, Figs. 4–7, Tables II–VI, the
- * methodology ablations and the §IV-A proving-scheme comparison.
+ * methodology ablations, the §IV-A proving-scheme comparison, and the
+ * paper's analyses re-run over the circuit zoo and the STARK prover.
  *
  *   bench_paper [--hw] [artifact...]
  *
  * An artifact is one of exec fig4 fig5 fig6 fig7 table2 table3 table4
- * table5 table6 ablation schemes; with none given, all twelve run. Each
- * core analysis sweep runs at most once per curve, and every selected
- * artifact reads from that one result:
+ * table5 table6 ablation schemes zoo footprint stark; with none given,
+ * all fifteen run. Each core analysis sweep runs at most once per
+ * curve, and every selected artifact reads from that one result:
  *   - fig5, table2 and table3 share the memory sweep;
  *   - table4 and table5 share the code sweep;
  *   - fig6 and table6 share the strong-scaling sweep;
@@ -19,8 +20,22 @@
  * the largest size under four trace sampling masks, and A4 times the
  * simulator's counting probe. schemes (E11) proves the exponentiation
  * statement with Groth16 and PlonK on both curves and, on BN254, an
- * n-step MiMC STARK; a proof that fails to verify makes bench_paper
- * exit 1 after printing.
+ * n-step MiMC STARK.
+ *
+ * zoo (E12), footprint (E13) and stark (E14) run on BN254 only. zoo and
+ * footprint run one pipeline over each circuit-zoo entry at one scale
+ * (kZooScales): compile, witness, Groth16 setup, prove and verify, then
+ * the R1CS->PlonK lowering and, within 2^16 gates, PlonK setup, prove
+ * and verify. An instance above 2^ZKP_MAX_LOG_N constraints prints as
+ * skipped. zoo times that pipeline at x1, x2 and x4 scale with no
+ * probes and observes the Groth16 proving stage on the modelled CPUs;
+ * footprint reads the allocator counters around each setup and prove,
+ * single-threaded with allocation tracking on. stark observes n-step
+ * Fibonacci and MiMC STARK proves and the Groth16 proving stage at the
+ * largest size through the same counters and cache models.
+ *
+ * A proof of schemes, zoo, footprint or stark that fails to verify
+ * makes bench_paper exit 1 after printing.
  *
  * --hw swaps fig4, table2 and table3 for simulated-vs-PMU tables at the
  * largest size; one measured pipeline run per curve serves all three.
@@ -37,7 +52,11 @@
 #include <type_traits>
 
 #include "bench_util.h"
+#include "ff/dispatch.h"
+#include "obs/memprof.h"
+#include "r1cs/zoo.h"
 #include "snark/plonk.h"
+#include "snark/plonk_from_r1cs.h"
 #include "snark/serialize.h"
 #include "stark/air.h"
 #include "stark/serialize.h"
@@ -63,6 +82,9 @@ enum Artifact : std::size_t
     kTable6,
     kAblation,
     kSchemes,
+    kZoo,
+    kFootprint,
+    kProverMix,
     kNumArtifacts
 };
 
@@ -92,6 +114,11 @@ const std::array<ArtifactInfo, kNumArtifacts> kArtifacts{{
     {"ablation", "E10 methodology ablations: trace sampling vs MPKI, "
                  "counting probe cost"},
     {"schemes", "E11 §IV-A: Groth16 vs PlonK vs transparent STARK"},
+    {"zoo", "E12: the prove-stage analyses and pipeline times over the "
+            "circuit zoo"},
+    {"footprint", "E13: allocation and peak-RSS growth per zoo circuit, "
+                  "scheme and phase"},
+    {"stark", "E14: STARK vs Groth16 prover opcode mix and LLC MPKI"},
 }};
 
 using Selection = std::array<bool, kNumArtifacts>;
@@ -194,6 +221,58 @@ struct SchemeTimes
 /** E10 A3 sampling masks: trace 1 in (mask + 1) accesses. */
 const std::array<sim::u32, 4> kSampleMasks{0, 1, 3, 7};
 
+/** E12/E13: the scale of each zoo entry; E12's times add x2 and x4. */
+const std::array<std::pair<const char*, std::size_t>, 7> kZooScales{{
+    {"exp", 1024},
+    {"mimc", 2},
+    {"poseidon", 4},
+    {"sha256", 1},
+    {"merkle", 4},
+    {"range", 16},
+    {"schnorr", 1},
+}};
+
+/** The zoo pipeline runs PlonK only up to this many lowered gates. */
+constexpr std::size_t kPlonkGateBudget = std::size_t(1) << 16;
+
+/** The measured phases of the zoo pipeline (runZoo), in run order. */
+enum ZooPhase : std::size_t
+{
+    kCompile,
+    kWitness,
+    kG16Setup,
+    kG16Prove,
+    kG16Verify,
+    kPlonkSetup,
+    kPlonkProve,
+    kPlonkVerify,
+    kNumZooPhases
+};
+
+/** One zoo instance through both schemes; M is one phase's measure. */
+template <typename M>
+struct ZooRun
+{
+    std::string circuit;
+    std::size_t scale = 0;
+    std::size_t constraints = 0;
+    /// Above the size limit: nothing ran.
+    bool skipped = false;
+    /// Lowered PlonK gates; the PlonK phases ran when within budget.
+    std::size_t gates = 0;
+    bool plonkRan = false;
+    bool verified = true;
+    std::array<M, kNumZooPhases> phase{};
+};
+
+/** E14: one prover's counters and what each modelled CPU saw. */
+struct ProverObservation
+{
+    std::string label;
+    sim::Counters counters;
+    std::vector<core::CpuObservation> cpus;
+};
+
 /** Everything one curve's selected artifacts read. */
 struct Sweeps
 {
@@ -214,6 +293,18 @@ struct Sweeps
     std::vector<std::vector<core::MemoryCell>> sampled;
     /// E10 A4 (BN254): ns per Fq multiply, counting off then on.
     std::array<double, 2> probeNs{};
+    /// E12 (BN254): the observed Groth16 proving stage of each
+    /// kZooScales instance (empty when skipped), then the timed
+    /// pipeline at x1, x2 and x4 scale.
+    std::vector<std::optional<core::StageObservation>> zooProve;
+    std::vector<ZooRun<double>> zooTimes;
+    /// E13 (BN254): the allocator deltas of the kZooScales pipelines.
+    std::vector<ZooRun<obs::memprof::StageMem>> footprint;
+    /// E14 (BN254): the Fibonacci and MiMC STARK provers, then Groth16.
+    std::vector<ProverObservation> provers;
+    /// False when a proof of schemes, zoo, footprint or stark failed
+    /// to verify.
+    bool verified = true;
 };
 
 std::string
@@ -376,6 +467,180 @@ probeCost()
 }
 
 /**
+ * E12/E13: zoo entry @p name at @p scale through Groth16 and, within
+ * kPlonkGateBudget lowered gates, PlonK, on one thread. @p measure runs
+ * each phase and returns what it measured. An instance above @p limit
+ * constraints is skipped.
+ */
+template <typename Curve, typename Measure>
+auto
+runZoo(const char* name, std::size_t scale, std::size_t limit,
+       Measure measure)
+{
+    using Fr = typename Curve::Fr;
+    using G = snark::Groth16<Curve>;
+    using P = snark::Plonk<Curve>;
+    const r1cs::zoo::Entry<Fr>& e = *r1cs::zoo::find<Fr>(name);
+    ZooRun<decltype(measure([] {}))> out;
+    out.circuit = name;
+    out.scale = scale;
+    out.constraints = e.predictedConstraints(scale);
+    out.skipped = out.constraints > limit;
+    if (out.skipped)
+        return out;
+
+    Rng rng(0x6d656d66u);
+    r1cs::CircuitBuilder<Fr> builder;
+    r1cs::R1cs<Fr> cs;
+    out.phase[kCompile] = measure([&] {
+        builder = e.build(scale);
+        cs = builder.compile();
+    });
+    const r1cs::WitnessCalculator<Fr> calc(builder.witnessProgram());
+    const auto w = e.sample(scale, rng);
+    std::vector<Fr> z;
+    out.phase[kWitness] =
+        measure([&] { z = calc.compute(w.pub, w.priv); });
+    typename G::Keypair keys;
+    out.phase[kG16Setup] = measure([&] { keys = G::setup(cs, rng); });
+    typename G::Proof proof;
+    out.phase[kG16Prove] =
+        measure([&] { proof = G::prove(keys.pk, cs, z, rng); });
+    out.phase[kG16Verify] = measure(
+        [&] { out.verified = G::verify(keys.vk, w.pub, proof); });
+
+    const snark::PlonkFromR1cs<Fr> lowered(cs);
+    out.gates = lowered.builder.numGates();
+    out.plonkRan = out.gates <= kPlonkGateBudget;
+    if (!out.plonkRan)
+        return out;
+    typename P::Keypair pkeys;
+    out.phase[kPlonkSetup] =
+        measure([&] { pkeys = P::setup(lowered.builder, rng); });
+    const auto values = lowered.assign(z);
+    typename P::Proof pproof;
+    out.phase[kPlonkProve] = measure(
+        [&] { pproof = P::prove(pkeys.pk, values, w.pub, rng); });
+    out.phase[kPlonkVerify] = measure(
+        [&] { out.verified &= P::verify(pkeys.vk, w.pub, pproof); });
+    return out;
+}
+
+/** When @p ok is false, name @p what on stderr and fail the run. */
+void
+checkVerified(Sweeps& out, bool ok, const std::string& what)
+{
+    if (ok)
+        return;
+    std::fprintf(stderr, "bench_paper: %s: a proof failed to verify\n",
+                 what.c_str());
+    out.verified = false;
+}
+
+/**
+ * E12: the Groth16 proving stage of every kZooScales instance within
+ * @p cfg's largest size, observed on the modelled CPUs and verified,
+ * then the unprobed pipeline times at x1, x2 and x4 scale.
+ */
+template <typename Curve>
+void
+runZooSweep(const core::SweepConfig& cfg, Sweeps& out)
+{
+    using Fr = typename Curve::Fr;
+    const std::size_t limit = cfg.sizes.back();
+    for (const auto& [name, scale] : kZooScales) {
+        auto& obs = out.zooProve.emplace_back();
+        const auto& e = *r1cs::zoo::find<Fr>(name);
+        if (e.predictedConstraints(scale) > limit)
+            continue;
+        core::StageRunner<Curve> runner(e, scale);
+        obs = core::observeStage(runner, Stage::Proving, cfg);
+        runner.run(Stage::Verifying);
+        checkVerified(out, runner.lastVerifyOk(),
+                      std::string("zoo ") + name);
+    }
+    const auto seconds = [](auto&& phase) {
+        Timer t;
+        phase();
+        return t.seconds();
+    };
+    for (const auto& [name, scale] : kZooScales) {
+        for (std::size_t mult : {1, 2, 4}) {
+            const auto& run = out.zooTimes.emplace_back(
+                runZoo<Curve>(name, scale * mult, limit, seconds));
+            checkVerified(out, run.verified,
+                          "zoo " + run.circuit + " scale " +
+                              std::to_string(run.scale));
+        }
+    }
+}
+
+/**
+ * E13: the kZooScales pipelines up to @p limit constraints with
+ * allocation tracking on, each phase bracketed by a memprof snapshot.
+ */
+template <typename Curve>
+void
+runFootprint(std::size_t limit, Sweeps& out)
+{
+    const bool was_tracking = obs::memprof::tracking();
+    if (!obs::memprof::setTracking(true))
+        std::printf("bench_paper footprint: allocation tracking "
+                    "unavailable, so the alloc columns read 0\n");
+    const auto mem = [](auto&& phase) {
+        const obs::memprof::Snapshot before = obs::memprof::snapshot();
+        phase();
+        return obs::memprof::stageDelta(before, 0);
+    };
+    for (const auto& [name, scale] : kZooScales) {
+        const auto& run = out.footprint.emplace_back(
+            runZoo<Curve>(name, scale, limit, mem));
+        checkVerified(out, run.verified, "footprint " + run.circuit);
+    }
+    obs::memprof::setTracking(was_tracking);
+}
+
+/**
+ * E14: an n-step Fibonacci and MiMC STARK prove, then the Groth16
+ * proving stage at n = @p cfg's largest size, each counted and traced
+ * into the modelled CPUs, and each proof verified.
+ */
+template <typename Curve>
+void
+observeProvers(const core::SweepConfig& cfg, Sweeps& out)
+{
+    const std::size_t n = cfg.sizes.back();
+    const stark::StarkParams params{};
+    const stark::FibonacciAir fib(n, stark::Gl::fromU64(1),
+                                  stark::Gl::fromU64(1));
+    const stark::MimcAir mimc(n, stark::Gl::fromU64(7));
+    for (const stark::Air* air : {(const stark::Air*)&fib,
+                                  (const stark::Air*)&mimc}) {
+        ProverObservation& obs = out.provers.emplace_back();
+        obs.label = "stark " + air->name() + " " + pow2(n);
+        stark::StarkProof proof;
+        {
+            const core::CpuSinks sinks(cfg);
+            const sim::CountingScope counting;
+            const sim::Counters before = sim::counters();
+            proof = stark::prove(*air, params, cfg.threads, sinks.sinks(),
+                                 cfg.sampleMask);
+            obs.counters = sim::counters() - before;
+            obs.cpus = sinks.observations();
+        }
+        checkVerified(out, stark::verify(*air, params, proof), obs.label);
+    }
+
+    core::StageRunner<Curve> runner(n);
+    const core::StageObservation g =
+        core::observeStage(runner, Stage::Proving, cfg);
+    out.provers.push_back(
+        {"groth16 prove " + pow2(n), g.run.counters, g.cpus});
+    runner.run(Stage::Verifying);
+    checkVerified(out, runner.lastVerifyOk(), out.provers.back().label);
+}
+
+/**
  * Run every pipeline stage once at size @p n with real PMU counters.
  * Stats report available=false when the machine denies perf access.
  */
@@ -406,6 +671,21 @@ runSweeps(const Selection& want, bool hw,
 
     core::SweepConfig cfg;
     cfg.sampleMask = sampleMask();
+    // E10 and E12-E14, and the STARK column of E11, run on BN254 only.
+    // E13 and E14 run first, so a one-time derivation (a fixed-base
+    // table, a field's two-adicity data) lands in the same cell
+    // whatever else is selected.
+    constexpr bool bn254 = std::is_same_v<Curve, snark::Bn254>;
+    if (want[kFootprint] && bn254)
+        runFootprint<Curve>(sizes.back(), out);
+    if (want[kProverMix] && bn254) {
+        cfg.sizes = largest;
+        observeProvers<Curve>(cfg, out);
+    }
+    if (want[kZoo] && bn254) {
+        cfg.sizes = largest;
+        runZooSweep<Curve>(cfg, out);
+    }
     if (want[kExec])
         out.execSeconds = timeStages<Curve>(sizes);
     if (want[kFig4]) {
@@ -432,10 +712,12 @@ runSweeps(const Selection& want, bool hw,
     }
     if (hw && (want[kFig4] || want[kTable2] || want[kTable3]))
         out.hw = measureHwStages<Curve>(sizes.back());
-    // E10 and the STARK column of E11 run on BN254 only.
-    constexpr bool bn254 = std::is_same_v<Curve, snark::Bn254>;
-    if (want[kSchemes])
+    if (want[kSchemes]) {
         out.schemes = runSchemes<Curve>(sizes, bn254);
+        for (const auto& row : out.schemes)
+            for (const SchemeTimes& t : row)
+                out.verified &= t.verified;
+    }
     if (want[kAblation] && bn254) {
         cfg.sizes = largest;
         for (sim::u32 mask : kSampleMasks) {
@@ -1043,6 +1325,166 @@ printAblation(const Sweeps& bn, std::size_t n)
                probe);
 }
 
+/** LLC load misses per kilo-instruction of @p cpu over @p c. */
+double
+llcMpki(const core::CpuObservation& cpu, const sim::Counters& c)
+{
+    const double instr = (double)c.instructions();
+    return instr > 0 ? cpu.llcLoadMisses / (instr / 1000.0) : 0.0;
+}
+
+/** The note under a zoo table that marks its skipped instances. */
+void
+printSkippedNote(std::size_t limit)
+{
+    std::printf("\nskipped: more than %s constraints (ZKP_MAX_LOG_N)\n",
+                pow2(limit).c_str());
+}
+
+/**
+ * E12: the Groth16 proving stage per zoo circuit on the i9 model, then
+ * the unprobed pipeline times and Groth16 prove cost per constraint.
+ */
+void
+printZoo(const Sweeps& bn, std::size_t limit)
+{
+    TextTable prove;
+    prove.setHeader({"circuit", "scale", "constraints", "bound",
+                     "LLC MPKI", "DRAM MB", "mix C/B/D"});
+    for (std::size_t i = 0; i < kZooScales.size(); ++i) {
+        const auto& [name, scale] = kZooScales[i];
+        const auto& obs = bn.zooProve[i];
+        if (!obs) {
+            const auto* e = r1cs::zoo::find<snark::Bn254::Fr>(name);
+            prove.addRow({name, std::to_string(scale),
+                          std::to_string(e->predictedConstraints(scale)),
+                          "skipped", "", "", ""});
+            continue;
+        }
+        const core::CpuObservation& i9 = obs->cpus.back();
+        const auto mix = core::opcodeMixOf(obs->run.counters);
+        char mix_cell[48];
+        std::snprintf(mix_cell, sizeof(mix_cell), "%.0f/%.0f/%.0f",
+                      mix.computePct, mix.controlPct, mix.dataPct);
+        prove.addRow(
+            {name, std::to_string(scale), std::to_string(obs->constraints),
+             sim::classifyTopDown(core::stageEventsFor(*obs, i9), *i9.cpu)
+                 .boundCategory(),
+             fmtF(llcMpki(i9, obs->run.counters), 3),
+             fmtF(i9.dramBytes / (1024.0 * 1024.0), 1), mix_cell});
+    }
+    printTable(std::string("E12 zoo prove-stage characterization "
+                           "(i9 model), ") +
+                   bn.curve,
+               prove);
+    printSkippedNote(limit);
+
+    TextTable times;
+    times.setHeader({"circuit", "scale", "r1cs", "gates", "compile",
+                     "witness", "g16 setup", "g16 prove", "g16 verify",
+                     "plonk setup", "plonk prove", "plonk verify",
+                     "g16 us/constraint"});
+    for (const ZooRun<double>& r : bn.zooTimes) {
+        std::vector<std::string> row{r.circuit, std::to_string(r.scale),
+                                     std::to_string(r.constraints)};
+        if (r.skipped) {
+            row.push_back("skipped");
+            row.resize(13);
+        } else {
+            row.push_back(std::to_string(r.gates));
+            for (std::size_t p = 0; p < kNumZooPhases; ++p)
+                row.push_back(p < kPlonkSetup || r.plonkRan
+                                  ? fmtSeconds(r.phase[p])
+                                  : "-");
+            row.push_back(
+                fmtF(r.phase[kG16Prove] / (double)r.constraints * 1e6, 3));
+        }
+        times.addRow(row);
+    }
+    printTable(std::string("E12 zoo pipeline times, ") + bn.curve, times);
+    printSkippedNote(limit);
+    std::printf("plonk -: the lowered circuit has more than 2^%u gates\n",
+                log2Of(kPlonkGateBudget));
+}
+
+/** @p v bytes with thousands separators, signed. */
+std::string
+fmtBytes(long long v)
+{
+    return (v < 0 ? "-" : "") + fmtCount(v < 0 ? -v : v);
+}
+
+/** E13: allocator traffic per zoo circuit, scheme and phase. */
+void
+printFootprint(const Sweeps& bn, std::size_t limit)
+{
+    TextTable table;
+    table.setHeader({"circuit", "scheme", "phase", "scale", "r1cs",
+                     "alloc bytes", "allocs", "live Δ", "peak RSS Δ MiB",
+                     "B/constraint"});
+    for (const auto& r : bn.footprint) {
+        if (r.skipped) {
+            table.addRow({r.circuit, "skipped", "", std::to_string(r.scale),
+                          std::to_string(r.constraints), "", "", "", "", ""});
+            continue;
+        }
+        for (const ZooPhase p : {kG16Setup, kG16Prove, kPlonkSetup,
+                                 kPlonkProve}) {
+            if (p >= kPlonkSetup && !r.plonkRan)
+                continue;
+            const obs::memprof::StageMem& m = r.phase[p];
+            table.addRow(
+                {r.circuit, p < kPlonkSetup ? "groth16" : "plonk",
+                 p == kG16Setup || p == kPlonkSetup ? "setup" : "prove",
+                 std::to_string(r.scale), std::to_string(r.constraints),
+                 fmtCount(m.allocBytes), fmtCount(m.allocCount),
+                 fmtBytes(m.liveDelta),
+                 fmtF(m.peakRssDelta / (1024.0 * 1024.0), 1),
+                 fmtF((double)m.allocBytes / (double)r.constraints, 1)});
+        }
+    }
+    printTable(std::string("E13 zoo memory footprint by circuit, scheme "
+                           "and phase (1 thread), ") +
+                   bn.curve,
+               table);
+    printSkippedNote(limit);
+}
+
+/**
+ * E14: each prover's opcode mix, wide multiplies per kilo-instruction,
+ * the share of instructions in SHA-256 compressions, and LLC MPKI on
+ * the i7 and i9 models.
+ */
+void
+printProvers(const Sweeps& bn)
+{
+    TextTable table;
+    table.setHeader({"prover", "comp%", "ctrl%", "data%", "imul/kinstr",
+                     "hash-compress%", "i7 MPKI", "i9 MPKI"});
+    const auto sig = sim::signatureFor(sim::PrimOp::HashCompress, 1);
+    for (const ProverObservation& p : bn.provers) {
+        const sim::Counters& c = p.counters;
+        const core::OpcodeMix mix = core::opcodeMixOf(c);
+        const double instr = (double)c.instructions();
+        const double hash_instr =
+            (double)c.prim[(std::size_t)sim::PrimOp::HashCompress] *
+            (sig.compute + sig.control + sig.data);
+        const auto mpki = [&](const char* cpu) {
+            for (const auto& o : p.cpus)
+                if (std::string(o.cpu->name).find(cpu) != std::string::npos)
+                    return fmtF(llcMpki(o, c), 3);
+            return std::string("-");
+        };
+        table.addRow(
+            {p.label, fmtF(mix.computePct, 1), fmtF(mix.controlPct, 1),
+             fmtF(mix.dataPct, 1),
+             fmtF(instr > 0 ? (double)c.imuls / (instr / 1000.0) : 0, 1),
+             fmtF(instr > 0 ? 100.0 * hash_instr / instr : 0, 1),
+             mpki("i7"), mpki("i9")});
+    }
+    printTable("E14 STARK vs Groth16 prover opcode mix and LLC MPKI", table);
+}
+
 /** Print artifact @p a from both curves' sweeps. */
 void
 printArtifact(Artifact a, const Sweeps& bn, const Sweeps& bls,
@@ -1103,6 +1545,15 @@ printArtifact(Artifact a, const Sweeps& bn, const Sweeps& bls,
       case kSchemes:
         printSchemes(bn, bls, sizes);
         break;
+      case kZoo:
+        printZoo(bn, largest);
+        break;
+      case kFootprint:
+        printFootprint(bn, largest);
+        break;
+      case kProverMix:
+        printProvers(bn);
+        break;
       case kNumArtifacts:
         break;
     }
@@ -1131,7 +1582,7 @@ usage()
     std::fprintf(stderr, "usage: bench_paper [--hw] [artifact...]\n"
                          "artifacts (default: all):\n");
     for (const auto& a : kArtifacts)
-        std::fprintf(stderr, "  %-8s %s\n", a.name, a.what);
+        std::fprintf(stderr, "  %-9s %s\n", a.name, a.what);
     return 2;
 }
 
@@ -1157,9 +1608,11 @@ run(int argc, char** argv)
         want.fill(true);
 
     const auto sizes = sweepSizes();
-    std::printf("bench_paper: n=%s..%s, repeats=%u, sample mask=%u\n",
+    std::printf("bench_paper: n=%s..%s, repeats=%u, sample mask=%u, "
+                "mul: %s, sha256: %s\n",
                 pow2(sizes.front()).c_str(), pow2(sizes.back()).c_str(),
-                repeats(), sampleMask());
+                repeats(), sampleMask(), ff::mulImplName(),
+                stark::shaImplName());
     const bool hw = hw_flag && hwModeUsable();
 
     const Sweeps bn = runSweeps<snark::Bn254>(want, hw, sizes);
@@ -1172,12 +1625,7 @@ run(int argc, char** argv)
             printArtifact((Artifact)a, bn, bls, sizes, hw);
         }
     }
-    for (const Sweeps* sw : {&bn, &bls})
-        for (const auto& row : sw->schemes)
-            for (const SchemeTimes& t : row)
-                if (!t.verified)
-                    return 1;
-    return 0;
+    return bn.verified && bls.verified ? 0 : 1;
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 # ctest driver for bench_paper: run every artifact at one small size and
-# check that it exits 0 (so every E11 proof verified) and prints each
-# artifact's title blocks, then check that an unknown artifact name and
-# a malformed or out-of-range size setting exit 2.
+# check that it exits 0 (so every proof verified) and prints each
+# artifact's title blocks, run the zoo artifacts where the small zoo
+# instances fit, then check that an unknown artifact name and a
+# malformed or out-of-range size setting exit 2.
 #
 #   cmake -DBENCH_PAPER=path/to/bench_paper -P bench_paper_smoke.cmake
 
@@ -38,7 +39,11 @@ set(titles
     "Table VI (paper, for comparison)"
     "E10 A3 trace sampling vs MPKI (i9 model, n=2^8, BN128)"
     "E10 A4 counting probe cost (Fq multiply, BN128)"
-    "E11 Groth16 vs PlonK vs transparent STARK, BN128")
+    "E11 Groth16 vs PlonK vs transparent STARK, BN128"
+    "E12 zoo prove-stage characterization (i9 model), BN128"
+    "E12 zoo pipeline times, BN128"
+    "E13 zoo memory footprint by circuit, scheme and phase (1 thread), BN128"
+    "E14 STARK vs Groth16 prover opcode mix and LLC MPKI")
 foreach(prefix IN LISTS per_curve)
     list(APPEND titles "${prefix}, BN128" "${prefix}, BLS12-381")
 endforeach()
@@ -47,6 +52,26 @@ foreach(title IN LISTS titles)
     if(pos EQUAL -1)
         message(FATAL_ERROR "missing title block '${title}'\n${out}")
     endif()
+endforeach()
+
+# At 2^10 the exp, mimc, poseidon and range instances run (merkle,
+# sha256 and schnorr are larger and print as skipped): each has a timed
+# pipeline row with its gate count and Groth16 footprint rows.
+set(ENV{ZKP_MIN_LOG_N} 10)
+set(ENV{ZKP_MAX_LOG_N} 10)
+execute_process(COMMAND ${BENCH_PAPER} zoo footprint
+    RESULT_VARIABLE rc OUTPUT_VARIABLE zoo ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+        "bench_paper zoo footprint exited ${rc}\n${zoo}\n${err}")
+endif()
+foreach(circuit exp mimc poseidon range)
+    foreach(row "${circuit} +[0-9]+ +[0-9]+ +[0-9]+ "
+            "${circuit} +groth16 +prove ")
+        if(NOT zoo MATCHES "\n${row}")
+            message(FATAL_ERROR "no '${row}' row at 2^10\n${zoo}")
+        endif()
+    endforeach()
 endforeach()
 
 # A cell must not depend on what ran before it in the process: the

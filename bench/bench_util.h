@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared helpers for the table/figure reproduction benches.
+ * Size settings and table helpers of bench_paper.
  *
  * Environment knobs (all optional):
  *   ZKP_MIN_LOG_N   smallest circuit size as log2 (default 10)
@@ -97,16 +97,6 @@ log2Of(std::size_t n)
     while ((std::size_t(1) << (k + 1)) <= n)
         ++k;
     return k;
-}
-
-/** True when @p flag appears among the command-line arguments. */
-inline bool
-hasFlag(int argc, char** argv, const char* flag)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return true;
-    return false;
 }
 
 } // namespace zkp::bench

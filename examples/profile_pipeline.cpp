@@ -9,7 +9,7 @@
  *                                        [--circuit <zoo name>]
  *                                        [--scale <n>] [--mem]
  *
- * --circuit selects a circuit-zoo entry (see `bench_circuits --list`;
+ * --circuit selects a circuit-zoo entry (see docs/CIRCUITS.md;
  * default "exp", the paper's exponentiation chain, whose scale is the
  * constraint count 2^log2_constraints). --scale overrides the entry's
  * default scale; for "exp" the positional log2_constraints argument

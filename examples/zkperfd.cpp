@@ -19,7 +19,7 @@
  *   --circuit        additionally registers a circuit-zoo entry on
  *                    BN254 under the wire id "<zoo>:<scale>" (scale
  *                    defaults to the catalog's default). Repeatable;
- *                    see `bench_circuits --list` for names.
+ *                    see docs/CIRCUITS.md for names.
  *   --stark          registers a transparent STARK circuit ("fib" or
  *                    "mimc", trace length defaults to 1024) under the
  *                    wire id "stark-<air>:<steps>". STARK hosts are

@@ -6,7 +6,7 @@
  * Every analysis drives the instrumented pipeline through StageRunner,
  * attaches the simulated hardware (one cache hierarchy and one branch
  * predictor per modelled CPU) as trace sinks, and post-processes the
- * collected events into the structures the bench binaries print as the
+ * collected events into the structures bench_paper prints as the
  * paper's tables and figures.
  */
 
@@ -70,7 +70,7 @@ struct StageObservation
  * The simulated hardware of every modelled CPU, one cache hierarchy
  * and one branch predictor each, attached as the trace sinks of one
  * measured run: a StageRunner stage (observeStage) or a STARK prove
- * (bench_stark --mix).
+ * (bench_paper stark).
  */
 class CpuSinks
 {

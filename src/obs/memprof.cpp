@@ -686,12 +686,13 @@ Snapshot
 snapshot()
 {
     Snapshot s;
-    // Sites directly after stats: the /proc readers below allocate
-    // (FILE buffers), and any gap between the two reads shows up as
-    // site-vs-stats skew in stage deltas.
-    s.stats = totals();
+    // The site list is the capture's only tracked allocation (the
+    // /proc readers below allocate through malloc, which the shim does
+    // not see). Taking it before the counters keeps it out of a
+    // stageDelta against this capture.
     if (tracking())
         s.sites = siteSnapshot();
+    s.stats = totals();
     s.rssBytes = rssBytes();
     s.peakRssBytes = peakRssBytes();
     s.trackedBytes = trackedTotalBytes();
@@ -701,6 +702,8 @@ snapshot()
 StageMem
 stageDelta(const Snapshot& before, std::size_t max_sites)
 {
+    // The counters before the capture, whose site list allocates.
+    const MemStats stats = totals();
     const Snapshot after = snapshot();
     StageMem m;
     m.tracked = tracking();
@@ -710,10 +713,10 @@ stageDelta(const Snapshot& before, std::size_t max_sites)
     m.peakRssDelta = after.peakRssBytes > before.peakRssBytes
                          ? after.peakRssBytes - before.peakRssBytes
                          : 0;
-    m.allocBytes = after.stats.allocBytes - before.stats.allocBytes;
-    m.allocCount = after.stats.allocCount - before.stats.allocCount;
-    m.freeBytes = after.stats.freeBytes - before.stats.freeBytes;
-    m.liveDelta = after.stats.liveBytes() - before.stats.liveBytes();
+    m.allocBytes = stats.allocBytes - before.stats.allocBytes;
+    m.allocCount = stats.allocCount - before.stats.allocCount;
+    m.freeBytes = stats.freeBytes - before.stats.freeBytes;
+    m.liveDelta = stats.liveBytes() - before.stats.liveBytes();
     m.trackedBytes = after.trackedBytes;
     if (max_sites && !after.sites.empty()) {
         std::vector<SiteStat> delta;

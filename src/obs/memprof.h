@@ -296,7 +296,9 @@ struct Snapshot
     std::vector<SiteStat> sites;
 };
 
-/** Capture counters + RSS (sites only while tracking is on). */
+/** Capture counters + RSS (sites only while tracking is on). The
+ *  allocator counters of a stageDelta against it leave out both
+ *  captures' own allocations. */
 Snapshot snapshot();
 
 /** Memory delta of one measured region (stage, kernel, request). */

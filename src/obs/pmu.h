@@ -7,7 +7,7 @@
  * hardware; the simulator in src/sim/ only models them. This layer
  * reads the machine's actual counters so the simulator's calibration
  * error becomes measurable: StageRunner records a per-stage hardware
- * sample next to every simulated one, and the bench binaries print
+ * sample next to every simulated one, and bench_paper prints
  * sim-vs-PMU side-by-side tables (bench_paper --hw fig4 table2 table3).
  *
  * Design:

@@ -11,9 +11,9 @@
  * regression (an extra constraint per round, a lost booleanity
  * check) fails loudly.
  *
- * Consumers: bench_circuits (catalog-driven Groth16/PlonK pipeline
- * sweeps), profile_pipeline --circuit, zkperfd's zoo-keyed circuit
- * hosts, and the property suites.
+ * Consumers: bench_paper's zoo and footprint artifacts (Groth16/PlonK
+ * pipeline sweeps), profile_pipeline --circuit, zkperfd's zoo-keyed
+ * circuit hosts, and the property suites.
  */
 
 #ifndef ZKP_R1CS_ZOO_H

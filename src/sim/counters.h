@@ -14,7 +14,7 @@
  *
  * Counting is off unless some code that reads the counters holds a
  * CountingScope: StageRunner::run, core::measureStage when the run
- * report is written at exit, bench_stark's direct read, and a
+ * report is written at exit, bench_paper stark's direct read, and a
  * ScopedTrace with sinks (the cache model stamps accesses with the
  * instruction count). Off, count() costs one relaxed load and one
  * predictable branch, so the provers, the verifiers and the daemon

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <string>
+
 #include "common/bignum.h"
 #include "common/rng.h"
+#include "ff/dispatch.h"
 #include "ff/field_util.h"
 #include "ff/fp12.h"
 #include "ff/params.h"
@@ -206,6 +211,28 @@ TYPED_TEST(PrimeFieldTest, MulBatchAllImplsMatchOperator)
     mulBatch(generic.data(), a.data(), b.data(), kMaxN);
     for (std::size_t i = 0; i < kMaxN; ++i)
         EXPECT_EQ(generic[i], a[i] * b[i]);
+}
+
+/** True when a "flags" line of /proc/cpuinfo lists @p flag. */
+bool
+cpuinfoLists(const std::string& flag)
+{
+    std::ifstream in("/proc/cpuinfo");
+    for (std::string line; std::getline(in, line);)
+        if (line.rfind("flags", 0) == 0)
+            return (line + " ").find(" " + flag + " ") != std::string::npos;
+    return false;
+}
+
+// An IFMA-capable host must run the IFMA tier, not fall back to the
+// scalar one without saying so.
+TEST(MulBatch, IfmaHostSelectsIfmaKernel)
+{
+    if (std::getenv("ZKP_FF_FORCE_SCALAR"))
+        GTEST_SKIP() << "ZKP_FF_FORCE_SCALAR pins the scalar tier";
+    if (!cpuinfoLists("avx512ifma"))
+        GTEST_SKIP() << "/proc/cpuinfo does not list avx512ifma";
+    EXPECT_STREQ(mulImplName(), "avx512ifma");
 }
 
 TEST(MulBatch, ExtensionFieldFallback)

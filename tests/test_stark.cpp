@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -125,6 +126,26 @@ TEST(StarkHash, ShaNiKernelMatchesScalar)
 #else
     GTEST_SKIP() << "build has no SHA-NI kernel (not x86-64)";
 #endif
+}
+
+/** True when a "flags" line of /proc/cpuinfo lists @p flag. */
+bool
+cpuinfoLists(const std::string& flag)
+{
+    std::ifstream in("/proc/cpuinfo");
+    for (std::string line; std::getline(in, line);)
+        if (line.rfind("flags", 0) == 0)
+            return (line + " ").find(" " + flag + " ") != std::string::npos;
+    return false;
+}
+
+// A SHA-capable host must run the SHA-NI kernel, not fall back to the
+// scalar one without saying so.
+TEST(StarkHash, ShaHostSelectsShaNiKernel)
+{
+    if (!cpuinfoLists("sha_ni"))
+        GTEST_SKIP() << "/proc/cpuinfo does not list sha_ni";
+    EXPECT_STREQ(shaImplName(), "sha_ni");
 }
 
 // FIPS 180-4 padding boundaries: 55 bytes is the longest message with

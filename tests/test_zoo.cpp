@@ -2,8 +2,9 @@
  * @file
  * Tier-1 circuit-zoo tests: catalog shape, the exact constraint-count
  * models, witness satisfaction for every entry on both fields, native
- * SHA-256 FIPS vectors, embedded-curve sanity, and one cheap dual
- * (Groth16 + PlonK) prove/verify through the generic lowering. The
+ * SHA-256 FIPS vectors, embedded-curve sanity, one Groth16
+ * prove/verify per entry, and one cheap dual (Groth16 + PlonK)
+ * prove/verify through the generic lowering. The
  * heavyweight differential and reference-vector property suites live
  * in tests/prop/prop_gadgets.cpp.
  */
@@ -178,6 +179,32 @@ TEST(Sha256Native, Fips180Vectors)
                   std::vector<std::uint8_t>(two.begin(), two.end()))),
               "248d6a61d20638b8e5c026930c3e6039"
               "a33ce45964ff2167f6ecedd419db06c1");
+}
+
+// One Groth16 prove/verify round per catalog entry at its tier-1
+// scale, so an entry that compiles and satisfies but no longer proves
+// fails here. SHA-256 (27.6k constraints) relies on
+// GoldenZooVectors.FreshGroth16GenerationMatchesCheckedInBytes, which
+// proves it and checks the proof against verified bytes.
+TEST(ZooGroth16, EveryEntryProvesAndVerifies)
+{
+    using Curve = snark::Bn254;
+    using Fr = Curve::Fr;
+    for (const auto& e : r1cs::zoo::all<Fr>()) {
+        if (e.name == "sha256")
+            continue;
+        const std::size_t scale = ZooTest<Fr>::smallScale(e.name);
+        auto builder = e.build(scale);
+        const auto cs = builder.compile();
+        Rng rng(0x67313631u);
+        const auto w = e.sample(scale, rng);
+        const auto z = r1cs::WitnessCalculator<Fr>(builder.witnessProgram())
+                           .compute(w.pub, w.priv);
+        const auto kp = snark::Groth16<Curve>::setup(cs, rng);
+        const auto proof = snark::Groth16<Curve>::prove(kp.pk, cs, z, rng);
+        EXPECT_TRUE(snark::Groth16<Curve>::verify(kp.vk, w.pub, proof))
+            << e.name << " scale " << scale;
+    }
 }
 
 TEST(ZooDual, PoseidonProvesUnderBothSchemes)
