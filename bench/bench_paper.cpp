@@ -578,6 +578,7 @@ runZooSweep(const core::SweepConfig& cfg, Sweeps& out)
 /**
  * E13: the kZooScales pipelines up to @p limit constraints with
  * allocation tracking on, each phase bracketed by a memprof snapshot.
+ * The one-time derivations run first, so no row is charged for them.
  */
 template <typename Curve>
 void
@@ -587,6 +588,7 @@ runFootprint(std::size_t limit, Sweeps& out)
     if (!obs::memprof::setTracking(true))
         std::printf("bench_paper footprint: allocation tracking "
                     "unavailable, so the alloc columns read 0\n");
+    core::prewarm<Curve>();
     const auto mem = [](auto&& phase) {
         const obs::memprof::Snapshot before = obs::memprof::snapshot();
         phase();

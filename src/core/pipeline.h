@@ -29,6 +29,27 @@
 namespace zkp::core {
 
 /**
+ * Run every process-wide one-time derivation the Groth16 stages use,
+ * so that the first measured run in a process counts the same as any
+ * later one: the fixed-base tables, the field's two-adicity data, the
+ * GLV constants and (via one pairing) the Frobenius constants and
+ * final exponent. StageRunner calls it on construction; a driver that
+ * measures stages without one calls it before its first.
+ */
+template <typename Curve>
+void
+prewarm()
+{
+    using Fr = typename Curve::Fr;
+    snark::Groth16<Curve>::prewarmTables();
+    (void)poly::TwoAdicity<Fr>::get();
+    if constexpr (ec::GlvCapable<typename Curve::G1>)
+        (void)ec::Glv<typename Curve::G1>::instance();
+    (void)Curve::Engine::pairing(Curve::G1::generator(),
+                                 Curve::G2::generator());
+}
+
+/**
  * Runs one zoo circuit's pipeline for one curve at one scale. The
  * default constructor keeps the paper's exponentiation chain, where
  * the scale parameter IS the constraint count (the sweep variable);
@@ -62,18 +83,8 @@ class StageRunner
         : entry_(&entry), scale_(scale),
           constraints_(entry.predictedConstraints(scale)), seed_(seed)
     {
-        // Every process-wide one-time derivation the stages use runs
-        // here, outside the measured region, so the first run in a
-        // process counts the same as any later one: the fixed-base
-        // tables, the field's two-adicity data, the GLV constants and
-        // (via one pairing) the Frobenius constants and final
-        // exponent.
-        Scheme::prewarmTables();
-        (void)poly::TwoAdicity<Fr>::get();
-        if constexpr (ec::GlvCapable<typename Curve::G1>)
-            (void)ec::Glv<typename Curve::G1>::instance();
-        (void)Curve::Engine::pairing(Curve::G1::generator(),
-                                     Curve::G2::generator());
+        // Outside the measured region.
+        prewarm<Curve>();
         Rng rng(seed_);
         w_ = entry_->sample(scale_, rng);
     }

@@ -125,10 +125,6 @@ StageBracket::finish(StageRun& run, const char* stage,
                 k.name = after.name;
                 k.count = after.count - prev.count;
                 k.seconds = (double)(after.totalNs - prev.totalNs) / 1e9;
-                k.hwCycles = after.totalCycles - prev.totalCycles;
-                k.hwInstructions =
-                    after.totalInstructions - prev.totalInstructions;
-                k.allocBytes = after.totalAllocBytes - prev.totalAllocBytes;
                 rep.topSpans.push_back(std::move(k));
             }
         }

@@ -2,8 +2,7 @@
  * @file
  * Memory observability implementation: global operator new/delete
  * replacements feeding pooled per-thread atomic counter blocks,
- * /proc-based RSS readers, a background footprint sampler, and the
- * tracked-owner byte registry.
+ * /proc-based RSS readers, and the tracked-owner byte registry.
  *
  * The per-thread block pool mirrors the trace.cpp ThreadLog design:
  * blocks live in a leaked registry forever (so totals survive thread
@@ -19,9 +18,7 @@
 #include "obs/memprof.h"
 
 #include <algorithm>
-#include <bit>
-#include <chrono>
-#include <condition_variable>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,7 +26,6 @@
 #include <memory>
 #include <mutex>
 #include <new>
-#include <thread>
 
 #if defined(__linux__)
 #include <malloc.h> // malloc_usable_size
@@ -81,7 +77,6 @@ struct Block
     std::atomic<u64> allocCount{0};
     std::atomic<u64> freeBytes{0};
     std::atomic<u64> freeCount{0};
-    std::array<std::atomic<u64>, kSizeBuckets> hist{};
     std::array<SiteSlot, kSiteSlots> sites{};
     /// Allocations made with no span active. Kept out of the slot
     /// table: letting them accumulate in an unclaimed (null-key)
@@ -235,10 +230,6 @@ recordAlloc(void* p)
     const std::size_t usable = usableSize(p);
     b->allocBytes.fetch_add(usable, std::memory_order_relaxed);
     b->allocCount.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t bucket = std::min<std::size_t>(
-        usable ? (std::size_t)(std::bit_width(usable) - 1) : 0,
-        kSizeBuckets - 1);
-    b->hist[bucket].fetch_add(1, std::memory_order_relaxed);
     recordSite(*b, currentSite(), usable);
 }
 
@@ -307,39 +298,6 @@ readKbField(const char* path, const char* field)
 }
 
 // ---------------------------------------------------------------------------
-// Background sampler
-// ---------------------------------------------------------------------------
-
-struct Sampler
-{
-    std::mutex m;
-    std::condition_variable cv;
-    std::thread thread;
-    bool running = false;
-    bool stop = false;
-    std::atomic<u64> samples{0};
-    std::atomic<u64> maxRss{0};
-    std::atomic<u64> maxAnon{0};
-};
-
-Sampler&
-sampler()
-{
-    static auto* s = new Sampler();
-    return *s;
-}
-
-void
-bumpMax(std::atomic<u64>& slot, u64 value)
-{
-    u64 cur = slot.load(std::memory_order_relaxed);
-    while (value > cur &&
-           !slot.compare_exchange_weak(cur, value,
-                                       std::memory_order_relaxed))
-        ;
-}
-
-// ---------------------------------------------------------------------------
 // Environment opt-in
 // ---------------------------------------------------------------------------
 
@@ -350,13 +308,10 @@ envFlag(const char* name)
     return v && v[0] && !(v[0] == '0' && v[1] == '\0');
 }
 
-bool gSpanAnnotation = false;
-
 struct EnvInit
 {
     EnvInit()
     {
-        gSpanAnnotation = envFlag("ZKP_MEMPROF_SPANS");
         if (envFlag("ZKP_MEMPROF"))
             setTracking(true);
     }
@@ -398,12 +353,6 @@ setTracking(bool on)
     }
     detail::gTracking.store(on, std::memory_order_relaxed);
     return on;
-}
-
-bool
-spanAnnotationEnabled()
-{
-    return gSpanAnnotation && tracking();
 }
 
 namespace detail {
@@ -465,37 +414,43 @@ threadStats()
     return s;
 }
 
-std::array<u64, kSizeBuckets>
-sizeHistogram()
-{
-    std::array<u64, kSizeBuckets> out{};
-    forEachBlock([&](const Block& b) {
-        for (std::size_t i = 0; i < kSizeBuckets; ++i)
-            out[i] += b.hist[i].load(std::memory_order_relaxed);
-    });
-    return out;
-}
+namespace {
 
-std::vector<SiteStat>
-siteSnapshot()
+/// Distinct site names one capture holds; further names merge into
+/// "(other)", so the sums stay exact.
+constexpr std::size_t kCaptureSites = 128;
+
+/**
+ * Merge every block's site table by name into out[0, cap) and return
+ * the number of entries. Allocates nothing: a capture reads it next to
+ * the counters, and an allocation between the two reads would land in
+ * one and not the other.
+ */
+std::size_t
+readSites(SiteStat* out, std::size_t cap)
 {
-    // Merge across blocks by key pointer; small cardinality (span
-    // names are literals), linear scan is fine.
-    std::vector<SiteStat> out;
-    u64 overflowBytes = 0, overflowCount = 0;
+    // Span names are literals, so the cardinality is small and a
+    // linear scan by key pointer is fine. Two entries stay free for
+    // the unattributed buckets.
+    std::size_t n = 0;
+    SiteStat noSpan{"(no span)"}, other{"(other)"};
     auto merge = [&](const char* key, u64 bytes, u64 count) {
         if (!bytes && !count)
             return;
-        for (auto& s : out) {
-            if (s.name == key) {
-                s.allocBytes += bytes;
-                s.allocCount += count;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (out[i].name == key) {
+                out[i].allocBytes += bytes;
+                out[i].allocCount += count;
                 return;
             }
         }
-        out.push_back(SiteStat{key, bytes, count});
+        if (n + 2 < cap) {
+            out[n++] = SiteStat{key, bytes, count};
+        } else {
+            other.allocBytes += bytes;
+            other.allocCount += count;
+        }
     };
-    u64 noSpanB = 0, noSpanC = 0;
     forEachBlock([&](const Block& b) {
         for (const auto& slot : b.sites) {
             const char* key = slot.key.load(std::memory_order_acquire);
@@ -504,17 +459,25 @@ siteSnapshot()
             merge(key, slot.bytes.load(std::memory_order_relaxed),
                   slot.count.load(std::memory_order_relaxed));
         }
-        noSpanB += b.noSpanBytes.load(std::memory_order_relaxed);
-        noSpanC += b.noSpanCount.load(std::memory_order_relaxed);
-        overflowBytes +=
-            b.overflowBytes.load(std::memory_order_relaxed);
-        overflowCount +=
-            b.overflowCount.load(std::memory_order_relaxed);
+        noSpan.allocBytes += b.noSpanBytes.load(std::memory_order_relaxed);
+        noSpan.allocCount += b.noSpanCount.load(std::memory_order_relaxed);
+        other.allocBytes += b.overflowBytes.load(std::memory_order_relaxed);
+        other.allocCount += b.overflowCount.load(std::memory_order_relaxed);
     });
-    if (noSpanB || noSpanC)
-        merge("(no span)", noSpanB, noSpanC);
-    if (overflowBytes || overflowCount)
-        merge("(other)", overflowBytes, overflowCount);
+    for (const SiteStat& s : {noSpan, other})
+        if (s.allocBytes || s.allocCount)
+            out[n++] = s;
+    return n;
+}
+
+} // namespace
+
+std::vector<SiteStat>
+siteSnapshot()
+{
+    // Sized before the read, which then allocates nothing.
+    std::vector<SiteStat> out(kCaptureSites);
+    out.resize(readSites(out.data(), out.size()));
     return out;
 }
 
@@ -552,97 +515,6 @@ peakRssBytes()
                                           std::memory_order_relaxed)) {
     }
     return prev < v ? v : prev;
-}
-
-SmapsRollup
-smapsRollup()
-{
-    SmapsRollup out;
-#if defined(__linux__)
-    std::FILE* f = std::fopen("/proc/self/smaps_rollup", "r");
-    if (!f)
-        return out;
-    char line[256];
-    u64 rss = 0;
-    bool sawRss = false;
-    while (std::fgets(line, sizeof(line), f)) {
-        unsigned long long kb = 0;
-        if (std::sscanf(line, "Rss: %llu", &kb) == 1) {
-            rss = (u64)kb * 1024;
-            sawRss = true;
-        } else if (std::sscanf(line, "Anonymous: %llu", &kb) == 1) {
-            out.anonBytes = (u64)kb * 1024;
-        } else if (std::sscanf(line, "AnonHugePages: %llu", &kb) == 1) {
-            out.thpBytes = (u64)kb * 1024;
-        } else if (std::sscanf(line, "Swap: %llu", &kb) == 1) {
-            out.swapBytes = (u64)kb * 1024;
-        }
-    }
-    std::fclose(f);
-    out.ok = sawRss;
-    // File-backed resident memory is what anonymous pages don't
-    // explain (text, mapped key files, page-cache shares).
-    out.fileBytes = rss > out.anonBytes ? rss - out.anonBytes : 0;
-#endif
-    return out;
-}
-
-void
-startSampler(u64 interval_ms)
-{
-    Sampler& s = sampler();
-    std::lock_guard<std::mutex> lock(s.m);
-    if (s.running)
-        return;
-    s.stop = false;
-    s.running = true;
-    s.thread = std::thread([&s, interval_ms] {
-        std::unique_lock<std::mutex> lock(s.m);
-        while (!s.stop) {
-            lock.unlock();
-            bumpMax(s.maxRss, rssBytes());
-            const SmapsRollup roll = smapsRollup();
-            if (roll.ok)
-                bumpMax(s.maxAnon, roll.anonBytes);
-            s.samples.fetch_add(1, std::memory_order_relaxed);
-            lock.lock();
-            s.cv.wait_for(lock,
-                          std::chrono::milliseconds(interval_ms),
-                          [&s] { return s.stop; });
-        }
-    });
-}
-
-void
-stopSampler()
-{
-    Sampler& s = sampler();
-    std::thread joinable;
-    {
-        std::lock_guard<std::mutex> lock(s.m);
-        if (!s.running)
-            return;
-        s.stop = true;
-        s.running = false;
-        joinable = std::move(s.thread);
-    }
-    s.cv.notify_all();
-    joinable.join();
-}
-
-SamplerStats
-samplerStats()
-{
-    Sampler& s = sampler();
-    SamplerStats out;
-    {
-        std::lock_guard<std::mutex> lock(s.m);
-        out.running = s.running;
-    }
-    out.samples = s.samples.load(std::memory_order_relaxed);
-    out.maxRssBytes = s.maxRss.load(std::memory_order_relaxed);
-    out.maxAnonBytes = s.maxAnon.load(std::memory_order_relaxed);
-    return out;
 }
 
 void
@@ -688,11 +560,17 @@ snapshot()
     Snapshot s;
     // The site list is the capture's only tracked allocation (the
     // /proc readers below allocate through malloc, which the shim does
-    // not see). Taking it before the counters keeps it out of a
-    // stageDelta against this capture.
-    if (tracking())
-        s.sites = siteSnapshot();
+    // not see), made before either read: both the counters and the
+    // sites include it, so a stageDelta against this capture leaves it
+    // out of both. Counters are read before sites here and after them
+    // in stageDelta, so an allocation racing either capture can reach
+    // the delta's counters without its site, never the reverse.
+    const bool sites = tracking();
+    if (sites)
+        s.sites.resize(kCaptureSites);
     s.stats = totals();
+    if (sites)
+        s.sites.resize(readSites(s.sites.data(), s.sites.size()));
     s.rssBytes = rssBytes();
     s.peakRssBytes = peakRssBytes();
     s.trackedBytes = trackedTotalBytes();
@@ -702,25 +580,29 @@ snapshot()
 StageMem
 stageDelta(const Snapshot& before, std::size_t max_sites)
 {
-    // The counters before the capture, whose site list allocates.
+    // Both reads come before this capture allocates anything (the site
+    // table is merged on the stack), sites first: see snapshot().
+    std::array<SiteStat, kCaptureSites> sites;
+    const std::size_t nsites =
+        tracking() ? readSites(sites.data(), sites.size()) : 0;
     const MemStats stats = totals();
-    const Snapshot after = snapshot();
     StageMem m;
     m.tracked = tracking();
-    m.rssBytes = after.rssBytes;
-    m.rssDelta = (i64)after.rssBytes - (i64)before.rssBytes;
-    m.peakRssBytes = after.peakRssBytes;
-    m.peakRssDelta = after.peakRssBytes > before.peakRssBytes
-                         ? after.peakRssBytes - before.peakRssBytes
+    m.rssBytes = rssBytes();
+    m.rssDelta = (i64)m.rssBytes - (i64)before.rssBytes;
+    m.peakRssBytes = peakRssBytes();
+    m.peakRssDelta = m.peakRssBytes > before.peakRssBytes
+                         ? m.peakRssBytes - before.peakRssBytes
                          : 0;
     m.allocBytes = stats.allocBytes - before.stats.allocBytes;
     m.allocCount = stats.allocCount - before.stats.allocCount;
     m.freeBytes = stats.freeBytes - before.stats.freeBytes;
     m.liveDelta = stats.liveBytes() - before.stats.liveBytes();
-    m.trackedBytes = after.trackedBytes;
-    if (max_sites && !after.sites.empty()) {
+    m.trackedBytes = trackedTotalBytes();
+    if (max_sites && nsites) {
         std::vector<SiteStat> delta;
-        for (const auto& site : after.sites) {
+        for (std::size_t i = 0; i < nsites; ++i) {
+            const SiteStat& site = sites[i];
             u64 prevBytes = 0, prevCount = 0;
             for (const auto& p : before.sites) {
                 if (p.name == site.name) {

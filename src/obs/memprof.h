@@ -1,8 +1,8 @@
 /**
  * @file
- * Memory observability: allocation interposition, RSS/footprint
- * sampling, and explicit byte accounting for the big structured
- * owners (CRS keys, twiddle caches, MSM scratch, serve key cache).
+ * Memory observability: allocation interposition, RSS readers, and
+ * explicit byte accounting for the big structured owners (CRS keys,
+ * twiddle caches, MSM scratch, serve key cache).
  *
  * Three cooperating layers, each usable on its own:
  *
@@ -10,19 +10,18 @@
  *     The library replaces the global operator new/delete with thin
  *     shims over malloc/free. While tracking is enabled every
  *     allocation and deallocation updates per-thread atomic counter
- *     blocks — cumulative alloc/free bytes and counts, live bytes, a
- *     log2 size histogram — and is attributed to the innermost active
- *     trace span (SpanScope pushes its name while tracking is on).
+ *     blocks — cumulative alloc/free bytes and counts, live bytes —
+ *     and is attributed to the innermost active trace span (SpanScope
+ *     pushes its name while tracking is on). The site table is the
+ *     one per-span allocation record.
  *     Bytes are measured with malloc_usable_size on both the alloc
  *     and the free side, so live-byte accounting is self-consistent.
  *     With tracking disabled the shims are a relaxed atomic load and
  *     a branch on top of malloc — unmeasurable in benchmarks.
  *
- *  2. RSS/footprint sampling (always available). rssBytes() reads
+ *  2. RSS readers (always available). rssBytes() reads
  *     /proc/self/statm, peakRssBytes() the kernel-maintained VmHWM
- *     from /proc/self/status, smapsRollup() the anon/file/THP split
- *     from /proc/self/smaps_rollup. A background sampler thread can
- *     record maxima on a fixed cadence between stage boundaries.
+ *     from /proc/self/status.
  *
  *  3. Tracked owners. Long-lived structures of known size (proving
  *     keys, twiddle tables, batch-affine scratch, the serve key
@@ -35,7 +34,7 @@
  * interposing on top of it would corrupt their bookkeeping. Under
  * sanitized builds the operator new/delete replacements are compiled
  * out, available() is false, and a tracking request is refused with a
- * single stderr notice (RSS sampling and tracked owners keep
+ * single stderr notice (RSS readers and tracked owners keep
  * working).
  *
  * Reentrancy contract: the allocation hooks never allocate and never
@@ -49,7 +48,6 @@
 #ifndef ZKP_OBS_MEMPROF_H
 #define ZKP_OBS_MEMPROF_H
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -61,9 +59,6 @@ namespace zkp::obs::memprof {
 
 using u64 = std::uint64_t;
 using i64 = std::int64_t;
-
-/** log2 size-class buckets in the allocation histogram. */
-constexpr std::size_t kSizeBuckets = 48;
 
 /** Per-thread span-site slots (linear probe, innermost span name). */
 constexpr std::size_t kSiteSlots = 64;
@@ -126,10 +121,6 @@ MemStats totals();
  *  for per-request accounting on a serve worker). */
 MemStats threadStats();
 
-/** Allocation-count histogram by log2 size class, summed over all
- *  threads: bucket i counts allocations with size in [2^i, 2^(i+1)). */
-std::array<u64, kSizeBuckets> sizeHistogram();
-
 /** Allocations attributed to one span name. */
 struct SiteStat
 {
@@ -140,7 +131,8 @@ struct SiteStat
 };
 
 /** Per-span-site allocation totals, merged across threads,
- *  unordered. */
+ *  unordered. Past 126 distinct names the rest merge into
+ *  "(other)". */
 std::vector<SiteStat> siteSnapshot();
 
 /** Push/pop the span-site attribution context for the calling
@@ -158,12 +150,8 @@ popSite()
     detail::popSiteSlow();
 }
 
-/** True when per-span allocation deltas should be annotated into
- *  trace JSON (ZKP_MEMPROF_SPANS=1, needs tracking on). */
-bool spanAnnotationEnabled();
-
 // ---------------------------------------------------------------------------
-// RSS / footprint sampling (no interposition needed)
+// RSS readers (no interposition needed)
 // ---------------------------------------------------------------------------
 
 /** Current resident set size from /proc/self/statm (0 on failure). */
@@ -171,37 +159,6 @@ u64 rssBytes();
 
 /** Process peak RSS (VmHWM from /proc/self/status; monotonic). */
 u64 peakRssBytes();
-
-/** Anonymous/file/huge-page breakdown of the resident set. */
-struct SmapsRollup
-{
-    bool ok = false;
-    u64 anonBytes = 0;
-    u64 fileBytes = 0;
-    u64 thpBytes = 0; ///< AnonHugePages
-    u64 swapBytes = 0;
-};
-
-/** Parse /proc/self/smaps_rollup (ok=false when unavailable). */
-SmapsRollup smapsRollup();
-
-/**
- * Start a background thread sampling rssBytes()/smapsRollup() every
- * @p interval_ms, maintaining maxima readable via samplerStats().
- * Idempotent; stopSampler() joins the thread.
- */
-void startSampler(u64 interval_ms = 50);
-void stopSampler();
-
-struct SamplerStats
-{
-    bool running = false;
-    u64 samples = 0;
-    u64 maxRssBytes = 0;
-    u64 maxAnonBytes = 0;
-};
-
-SamplerStats samplerStats();
 
 // ---------------------------------------------------------------------------
 // Tracked owners
@@ -296,9 +253,9 @@ struct Snapshot
     std::vector<SiteStat> sites;
 };
 
-/** Capture counters + RSS (sites only while tracking is on). The
- *  allocator counters of a stageDelta against it leave out both
- *  captures' own allocations. */
+/** Capture counters + RSS (sites only while tracking is on). A
+ *  stageDelta against it leaves both captures' own allocations out of
+ *  its counters and its sites alike. */
 Snapshot snapshot();
 
 /** Memory delta of one measured region (stage, kernel, request). */
@@ -316,6 +273,9 @@ struct StageMem
     i64 liveDelta = 0;
     u64 trackedBytes = 0; ///< owner accounts at region end
     /// Largest per-span allocators within the region, descending.
+    /// Over every site the region's sites sum to at most
+    /// allocBytes/allocCount, and exactly to them when no other
+    /// thread allocates during either capture.
     std::vector<SiteStat> topSites;
 };
 

@@ -149,55 +149,4 @@ metricsJson()
     return w.take();
 }
 
-std::string
-metricsCsv()
-{
-    std::string out = "kind,name,key,value\n";
-    auto line = [&](const char* kind, const std::string& name,
-                    const std::string& key, const std::string& value) {
-        out += kind;
-        out += ',';
-        out += name;
-        out += ',';
-        out += key;
-        out += ',';
-        out += value;
-        out += '\n';
-    };
-    counters().forEach([&](const std::string& name, Counter& c) {
-        line("counter", name, "value", std::to_string(c.value()));
-    });
-    gauges().forEach([&](const std::string& name, Gauge& g) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.9g", g.value());
-        line("gauge", name, "value", buf);
-    });
-    histograms().forEach([&](const std::string& name, Histogram& h) {
-        const Histogram::Snapshot s = h.snapshot();
-        line("histogram", name, "count", std::to_string(s.count));
-        line("histogram", name, "sum", std::to_string(s.sum));
-        for (unsigned i = 0; i < Histogram::kBuckets; ++i) {
-            const u64 n = s.buckets[i];
-            if (n == 0)
-                continue;
-            line("histogram", name,
-                 "bucket_" + std::to_string(Histogram::bucketLow(i)),
-                 std::to_string(n));
-        }
-    });
-    return out;
-}
-
-bool
-writeMetrics(const std::string& path)
-{
-    const std::string json = metricsJson();
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    const bool ok =
-        std::fwrite(json.data(), 1, json.size(), f) == json.size();
-    return std::fclose(f) == 0 && ok;
-}
-
 } // namespace zkp::obs

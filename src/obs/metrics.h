@@ -11,9 +11,9 @@
  *
  * All instruments are thread-safe: worker threads spawned by
  * parallelFor update them directly and the totals merge by virtue of
- * atomicity (no per-thread staging to drain). Export to JSON
- * (metricsJson) or CSV (metricsCsv); the run-report writer embeds a
- * snapshot per stage run.
+ * atomicity (no per-thread staging to drain). metricsJson() renders
+ * the whole registry; the run report (obs/report.h) embeds the
+ * counters (counterSnapshot).
  */
 
 #ifndef ZKP_OBS_METRICS_H
@@ -277,13 +277,6 @@ std::vector<std::pair<std::string, u64>> counterSnapshot();
 
 /** Render the whole registry as a JSON document. */
 std::string metricsJson();
-
-/** Render counters and gauges as "kind,name,value" CSV lines;
- *  histograms add one line per occupied bucket. */
-std::string metricsCsv();
-
-/** Write metricsJson() to @p path. Returns false on I/O failure. */
-bool writeMetrics(const std::string& path);
 
 } // namespace zkp::obs
 

@@ -378,13 +378,6 @@ envDisabled(const char* name)
     return v && v[0] == '0' && v[1] == '\0';
 }
 
-bool
-envSet(const char* name)
-{
-    const char* v = std::getenv(name);
-    return v && *v && !(v[0] == '0' && v[1] == '\0');
-}
-
 std::mutex gPendingMutex;
 Sample gPendingWorkers;
 
@@ -416,13 +409,6 @@ bool
 enabled()
 {
     static const bool on = !envDisabled("ZKP_PMU") && available();
-    return on;
-}
-
-bool
-spanSamplingEnabled()
-{
-    static const bool on = envSet("ZKP_PMU_SPANS") && enabled();
     return on;
 }
 

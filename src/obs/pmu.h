@@ -32,11 +32,12 @@
  *    One notice line goes to stderr the first time the fallback
  *    triggers.
  *
+ * Counters are sampled per stage only, never per span: a span
+ * sample would cover its child spans and only the recording thread,
+ * so it would neither isolate a kernel's self time nor see pool work.
+ *
  * Environment:
  *  - ZKP_PMU=0        disable hardware counters even when available
- *  - ZKP_PMU_SPANS=1  also sample counters per traced span (adds a
- *                     few syscalls per span; off by default so
- *                     tracing never taxes the hot path)
  */
 
 #ifndef ZKP_OBS_PMU_H
@@ -128,10 +129,6 @@ const std::string& unavailableReason();
 
 /** available() and not disabled via ZKP_PMU=0. */
 bool enabled();
-
-/** True when ZKP_PMU_SPANS=1 requested per-span samples (and the
- *  counters are usable). */
-bool spanSamplingEnabled();
 
 /**
  * Read the calling thread's counters (opened lazily on first use).

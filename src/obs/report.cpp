@@ -83,12 +83,6 @@ runReportJson()
             w.key("name").value(k.name);
             w.key("count").value(k.count);
             w.key("seconds").value(k.seconds);
-            if (k.hwCycles > 0 || k.hwInstructions > 0) {
-                w.key("hw_cycles").value(k.hwCycles);
-                w.key("hw_instructions").value(k.hwInstructions);
-            }
-            if (k.allocBytes > 0)
-                w.key("alloc_bytes").value(k.allocBytes);
             w.endObject();
         }
         w.endArray();

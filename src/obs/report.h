@@ -7,9 +7,10 @@
  * A record carries the stage identity (stage, curve, constraint
  * count, threads), its wall time, the instrumented counter deltas
  * (passed in as generic name/value pairs so obs does not depend on
- * the sim layer) and — when tracing is active — the top spans by
- * total time, which is the per-kernel attribution the paper's Table
- * IV reports per stage.
+ * the sim layer), the stage's hardware-counter and memory sections,
+ * and — when tracing is active — the spans that ran, with their count
+ * and total time. Span times include child spans, so they are not the
+ * self shares of the paper's Table IV.
  *
  * Activation: every core::StageRunner stage records, and a STARK stage
  * records when it counts or runs under span tracing; write the
@@ -35,11 +36,6 @@ struct KernelStat
     std::string name;
     std::uint64_t count = 0;
     double seconds = 0;
-    /// Summed per-span hardware deltas (ZKP_PMU_SPANS=1 only).
-    std::uint64_t hwCycles = 0;
-    std::uint64_t hwInstructions = 0;
-    /// Summed per-span allocation bytes (ZKP_MEMPROF_SPANS=1 only).
-    std::uint64_t allocBytes = 0;
 };
 
 /** One instrumented stage execution. */

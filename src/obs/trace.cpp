@@ -244,13 +244,6 @@ spanAggregates()
             s.name = ev.name;
             ++s.count;
             s.totalNs += ev.durNs;
-            if (ev.hasPmu) {
-                s.totalCycles += ev.pmuCycles;
-                s.totalInstructions += ev.pmuInstructions;
-                s.totalLlcLoadMisses += ev.pmuLlcLoadMisses;
-            }
-            if (ev.hasMem)
-                s.totalAllocBytes += ev.memAllocBytes;
         }
     });
     std::vector<SpanStat> out;
@@ -308,17 +301,9 @@ traceJson()
         w.key("dur").value((double)ev.durNs / 1e3);
         w.key("pid").value((u64)1);
         w.key("tid").value((u64)ev.tid);
-        if (ev.argKey || ev.hasPmu || ev.hasMem) {
+        if (ev.argKey) {
             w.key("args").beginObject();
-            if (ev.argKey)
-                w.key(ev.argKey).value(ev.argVal);
-            if (ev.hasPmu) {
-                w.key("hw_cycles").value(ev.pmuCycles);
-                w.key("hw_instructions").value(ev.pmuInstructions);
-                w.key("hw_llc_load_misses").value(ev.pmuLlcLoadMisses);
-            }
-            if (ev.hasMem)
-                w.key("mem_alloc_bytes").value(ev.memAllocBytes);
+            w.key(ev.argKey).value(ev.argVal);
             w.endObject();
         }
         w.endObject();

@@ -6,7 +6,9 @@
  * an RAII scope that, when tracing is enabled, records one complete
  * ("X" phase) span — name, start, duration, thread lane, nesting
  * depth, one optional numeric argument — into a per-thread bounded
- * buffer. Recording takes no locks on the hot path beyond an
+ * buffer. Spans carry time only: hardware counters are sampled per
+ * stage (obs/pmu.h), and per-span allocation bytes come from the
+ * memprof site table, which the scope feeds while tracking is on. Recording takes no locks on the hot path beyond an
  * uncontended per-thread flag; when tracing is disabled the scope
  * compiles down to a relaxed atomic load and a branch, so benchmark
  * numbers stay honest. test_obs_tracing_overhead bounds tracing on vs
@@ -34,7 +36,6 @@
 #include <vector>
 
 #include "obs/memprof.h"
-#include "obs/pmu.h"
 
 namespace zkp::obs {
 
@@ -62,17 +63,6 @@ struct SpanEvent
     /// Optional single numeric argument; argKey == nullptr when absent.
     const char* argKey = nullptr;
     u64 argVal = 0;
-    /// Per-span hardware-counter deltas, sampled on the recording
-    /// thread when ZKP_PMU_SPANS=1 (hasPmu marks validity).
-    bool hasPmu = false;
-    u64 pmuCycles = 0;
-    u64 pmuInstructions = 0;
-    u64 pmuLlcLoadMisses = 0;
-    /// Bytes allocated on the recording thread while the span was
-    /// open, sampled when ZKP_MEMPROF_SPANS=1 under ZKP_MEMPROF=1
-    /// (hasMem marks validity).
-    bool hasMem = false;
-    u64 memAllocBytes = 0;
 };
 
 /** Aggregate of all spans sharing one name. */
@@ -81,13 +71,6 @@ struct SpanStat
     const char* name = nullptr;
     u64 count = 0;
     u64 totalNs = 0;
-    /// Summed per-span PMU deltas (zero unless ZKP_PMU_SPANS=1).
-    u64 totalCycles = 0;
-    u64 totalInstructions = 0;
-    u64 totalLlcLoadMisses = 0;
-    /// Summed per-span allocation deltas (zero unless
-    /// ZKP_MEMPROF_SPANS=1).
-    u64 totalAllocBytes = 0;
 };
 
 namespace detail {
@@ -189,17 +172,11 @@ class SpanScope
         if (memprof::tracking()) {
             memSite_ = true;
             memprof::pushSite(name_);
-            if (memprof::spanAnnotationEnabled()) {
-                sampleMem_ = true;
-                memStartBytes_ = memprof::threadStats().allocBytes;
-            }
         }
         active_ = tracingEnabled();
         if (!active_)
             return;
         depth_ = detail::enterSpan();
-        if (pmu::spanSamplingEnabled())
-            samplePmu_ = pmu::readThread(pmuStart_);
         startNs_ = detail::nowNs();
     }
 
@@ -220,23 +197,6 @@ class SpanScope
         ev.depth = depth_;
         ev.argKey = argKey_;
         ev.argVal = argVal_;
-        if (samplePmu_) {
-            pmu::Sample now;
-            if (pmu::readThread(now)) {
-                const pmu::Sample d = pmu::delta(pmuStart_, now);
-                ev.hasPmu = true;
-                ev.pmuCycles = (u64)d.get(pmu::Event::Cycles);
-                ev.pmuInstructions =
-                    (u64)d.get(pmu::Event::Instructions);
-                ev.pmuLlcLoadMisses =
-                    (u64)d.get(pmu::Event::LlcLoadMisses);
-            }
-        }
-        if (sampleMem_) {
-            ev.hasMem = true;
-            ev.memAllocBytes =
-                memprof::threadStats().allocBytes - memStartBytes_;
-        }
         if (memSite_)
             memprof::popSite();
         detail::record(ev);
@@ -252,11 +212,7 @@ class SpanScope
     u64 startNs_ = 0;
     u32 depth_ = 0;
     bool active_ = false;
-    bool samplePmu_ = false;
     bool memSite_ = false;
-    bool sampleMem_ = false;
-    u64 memStartBytes_ = 0;
-    pmu::Sample pmuStart_;
 };
 
 } // namespace zkp::obs

@@ -2,9 +2,9 @@
  * @file
  * Memory observability tests (src/obs/memprof.h): deterministic
  * allocation counting through the operator new/delete interposition,
- * span-site attribution, RSS/peak-RSS readers, the background
- * sampler, tracked-owner accounting, stage deltas, and the
- * tracked-vs-allocator reconciliation on a real 2^12 proving
+ * span-site attribution, RSS/peak-RSS readers, tracked-owner
+ * accounting, stage deltas whose sites add up to their counters, and
+ * the tracked-vs-allocator reconciliation on a real 2^12 proving
  * pipeline.
  *
  * Under sanitizer builds the interposition shim is compiled out
@@ -26,6 +26,7 @@
 #include "common/rng.h"
 #include "core/pipeline.h"
 #include "obs/memprof.h"
+#include "obs/trace.h"
 #include "poly/domain.h"
 #include "snark/curve.h"
 
@@ -99,23 +100,6 @@ TEST(Memprof, DeterministicThreadCounting)
     EXPECT_EQ(after.freeBytes - mid.freeBytes,
               mid.allocBytes - before.allocBytes);
     EXPECT_EQ(after.liveBytes(), before.liveBytes());
-}
-
-TEST(Memprof, SizeHistogramBucketsBySizeClass)
-{
-    if (!memprof::available())
-        GTEST_SKIP() << memprof::unavailableReason();
-    ASSERT_TRUE(memprof::setTracking(true));
-
-    const auto before = memprof::sizeHistogram();
-    void* p = ::operator new(std::size_t(1) << 20);
-    const auto after = memprof::sizeHistogram();
-    ::operator delete(p);
-
-    // usable(1 MiB) lands in the 2^20 or (with allocator header
-    // rounding) 2^21 class.
-    const u64 grew = (after[20] - before[20]) + (after[21] - before[21]);
-    EXPECT_GE(grew, 1u);
 }
 
 TEST(Memprof, SpanSiteAttribution)
@@ -234,39 +218,6 @@ TEST(Memprof, RssReadersAndPeakMonotonicity)
     EXPECT_GE(memprof::peakRssBytes(), peak1); // never decreases
 }
 
-TEST(Memprof, SmapsRollupSplitsResidentSet)
-{
-    const auto roll = memprof::smapsRollup();
-    if (!roll.ok)
-        GTEST_SKIP() << "smaps_rollup unavailable";
-    EXPECT_GT(roll.anonBytes, 0u);
-    const u64 rss = memprof::rssBytes();
-    // anon + file should roughly reassemble statm RSS (THP and timing
-    // skew allowed for).
-    EXPECT_GE(roll.anonBytes + roll.fileBytes + (std::size_t(8) << 20),
-              rss / 2);
-}
-
-TEST(Memprof, SamplerRecordsMaxima)
-{
-    memprof::startSampler(5);
-    constexpr std::size_t kBytes = std::size_t(8) << 20;
-    std::vector<char> block(kBytes);
-    touchPages(block.data(), kBytes);
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-
-    auto stats = memprof::samplerStats();
-    EXPECT_TRUE(stats.running);
-    EXPECT_GE(stats.samples, 1u);
-    EXPECT_GT(stats.maxRssBytes, 0u);
-
-    memprof::stopSampler();
-    stats = memprof::samplerStats();
-    EXPECT_FALSE(stats.running);
-    memprof::startSampler(5); // idempotent restart then clean stop
-    memprof::stopSampler();
-}
-
 TEST(Memprof, TrackedOwnerAccounting)
 {
     const u64 base = memprof::trackedTotalBytes();
@@ -320,6 +271,76 @@ TEST(Memprof, StageDeltaMeasuresRegion)
         EXPECT_FALSE(delta.tracked);
     }
     ::operator delete(kept);
+}
+
+/**
+ * A stage's sites add up to its counters exactly: two nested spans
+ * that allocate once each show up as exactly those two sites, and
+ * neither capture's own site list lands in the delta. Runs with
+ * tracing off and on; the trace log is warmed first so recording the
+ * two spans allocates nothing.
+ */
+TEST(Memprof, StageDeltaSitesSumToCounters)
+{
+    if (!memprof::available())
+        GTEST_SKIP() << memprof::unavailableReason();
+    ASSERT_TRUE(memprof::setTracking(true));
+
+    struct Region
+    {
+        u64 outerBytes = 0;
+        u64 innerBytes = 0;
+    };
+    // The bytes each site is charged, read off the thread's own
+    // counters around each allocation.
+    auto run = []() {
+        Region r;
+        ZKP_TRACE_SCOPE("test.stage.outer");
+        u64 b0 = memprof::threadStats().allocBytes;
+        void* outer = ::operator new(3000);
+        r.outerBytes = memprof::threadStats().allocBytes - b0;
+        {
+            ZKP_TRACE_SCOPE("test.stage.inner");
+            b0 = memprof::threadStats().allocBytes;
+            void* inner = ::operator new(200);
+            r.innerBytes = memprof::threadStats().allocBytes - b0;
+            ::operator delete(inner);
+        }
+        ::operator delete(outer);
+        return r;
+    };
+
+    for (const bool traced : {false, true}) {
+        SCOPED_TRACE(traced ? "tracing on" : "tracing off");
+        if (traced) {
+            zkp::obs::startTracing("");
+            run();
+            zkp::obs::clearTrace(); // keeps the log's capacity
+        }
+        const auto before = memprof::snapshot();
+        const Region r = run();
+        const auto delta = memprof::stageDelta(before, 8);
+        if (traced)
+            zkp::obs::stopTracing();
+
+        ASSERT_EQ(delta.topSites.size(), 2u);
+        u64 bytes = 0, count = 0;
+        for (const auto& site : delta.topSites) {
+            bytes += site.allocBytes;
+            count += site.allocCount;
+            EXPECT_EQ(site.allocCount, 1u) << site.name;
+            if (std::strcmp(site.name, "test.stage.outer") == 0)
+                EXPECT_EQ(site.allocBytes, r.outerBytes);
+            else if (std::strcmp(site.name, "test.stage.inner") == 0)
+                EXPECT_EQ(site.allocBytes, r.innerBytes);
+            else
+                ADD_FAILURE() << "unexpected site " << site.name;
+        }
+        EXPECT_EQ(bytes, delta.allocBytes);
+        EXPECT_EQ(count, delta.allocCount);
+        EXPECT_EQ(delta.allocCount, 2u);
+    }
+    zkp::obs::clearTrace();
 }
 
 /**
@@ -425,7 +446,6 @@ TEST(Memprof, AllocStormVsScraper)
             }
         });
 
-    memprof::startSampler(2);
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(100);
     u64 scrapes = 0;
@@ -433,17 +453,16 @@ TEST(Memprof, AllocStormVsScraper)
         auto snap = memprof::snapshot();
         (void)memprof::totals();
         (void)memprof::threadStats();
-        (void)memprof::sizeHistogram();
         (void)memprof::siteSnapshot();
         (void)memprof::trackedSnapshot();
-        (void)memprof::samplerStats();
+        (void)memprof::rssBytes();
+        (void)memprof::peakRssBytes();
         (void)memprof::stageDelta(snap, 2);
         ++scrapes;
     }
     stop.store(true);
     for (auto& w : workers)
         w.join();
-    memprof::stopSampler();
     EXPECT_GT(scrapes, 0u);
 
     if (memprof::available()) {

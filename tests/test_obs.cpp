@@ -493,7 +493,7 @@ TEST(MetricsTest, RegistryFindOrCreateIsStable)
     EXPECT_EQ(b.value(), 3u);
 }
 
-TEST(MetricsTest, JsonAndCsvExport)
+TEST(MetricsTest, JsonExport)
 {
     obs::counter("test.obs.export_counter").add(7);
     obs::gauge("test.obs.export_gauge").set(2.5);
@@ -505,14 +505,6 @@ TEST(MetricsTest, JsonAndCsvExport)
               std::string::npos);
     EXPECT_NE(json.find("\"test.obs.export_gauge\""), std::string::npos);
     EXPECT_NE(json.find("\"test.obs.export_hist\""), std::string::npos);
-
-    const std::string csv = obs::metricsCsv();
-    EXPECT_NE(csv.find("counter,test.obs.export_counter,value,"),
-              std::string::npos);
-    EXPECT_NE(csv.find("gauge,test.obs.export_gauge,value,"),
-              std::string::npos);
-    EXPECT_NE(csv.find("histogram,test.obs.export_hist,count,"),
-              std::string::npos);
 }
 
 // ------------------------------------------------------------------
