@@ -31,10 +31,11 @@ namespace zkp::core {
 /**
  * Run every process-wide one-time derivation the Groth16 stages use,
  * so that the first measured run in a process counts the same as any
- * later one: the fixed-base tables, the field's two-adicity data, the
- * GLV constants and (via one pairing) the Frobenius constants and
- * final exponent. StageRunner calls it on construction; a driver that
- * measures stages without one calls it before its first.
+ * later one: the fixed-base tables and e(G1, G2) (whose pairing also
+ * derives the Frobenius constants and final exponent), the field's
+ * two-adicity data and the GLV constants. StageRunner calls it on
+ * construction; a driver that measures stages without one calls it
+ * before its first.
  */
 template <typename Curve>
 void
@@ -45,8 +46,6 @@ prewarm()
     (void)poly::TwoAdicity<Fr>::get();
     if constexpr (ec::GlvCapable<typename Curve::G1>)
         (void)ec::Glv<typename Curve::G1>::instance();
-    (void)Curve::Engine::pairing(Curve::G1::generator(),
-                                 Curve::G2::generator());
 }
 
 /**

@@ -168,8 +168,8 @@ class Groth16
         const Fr gamma_inv = gamma.inverse();
         const Fr delta_inv = delta.inverse();
 
-        const auto& t1 = g1Table();
-        const auto& t2 = g2Table();
+        const auto& t1 = ec::generatorTable<G1>();
+        const auto& t2 = ec::generatorTable<G2>();
 
         Keypair kp;
         ProvingKey& pk = kp.pk;
@@ -184,7 +184,10 @@ class Groth16
         pk.delta2 = t2.mul(delta.toBigInt()).toAffine();
         vk.gamma2 = t2.mul(gamma.toBigInt()).toAffine();
         vk.delta2 = pk.delta2;
-        vk.alphaBeta = Engine::pairing(pk.alpha1, pk.beta2);
+        // e(alpha G1, beta G2) = e(G1, G2)^(alpha beta): one
+        // exponentiation of the prewarmed base instead of a pairing.
+        vk.alphaBeta = ff::fieldPow(
+            gtGenerator(), BigNum::fromBigInt((alpha * beta).toBigInt()));
 
         // Per-variable queries.
         pk.aQuery = encodeAll(t1, at, threads);
@@ -417,35 +420,29 @@ class Groth16
     }
 
     /**
-     * Shared fixed-base window tables for the group generators.
-     * Real deployments precompute these once per curve; sharing them
-     * keeps the measured setup stage linear in the circuit size.
+     * Build the process-wide generator tables (ec::generatorTable,
+     * shared with KZG) and e(G1, G2) outside a measured region. Real
+     * deployments precompute these once per curve; sharing them keeps
+     * the measured setup stage linear in the circuit size.
      */
-    static const ec::FixedBaseTable<G1Jac, FrRepr>&
-    g1Table()
-    {
-        static const ec::FixedBaseTable<G1Jac, FrRepr> table{
-            G1Jac{G1::generator()}};
-        return table;
-    }
-
-    static const ec::FixedBaseTable<G2Jac, FrRepr>&
-    g2Table()
-    {
-        static const ec::FixedBaseTable<G2Jac, FrRepr> table{
-            G2Jac{G2::generator()}};
-        return table;
-    }
-
-    /** Force one-time table construction outside a measured region. */
     static void
     prewarmTables()
     {
-        (void)g1Table();
-        (void)g2Table();
+        (void)ec::generatorTable<G1>();
+        (void)ec::generatorTable<G2>();
+        (void)gtGenerator();
     }
 
   private:
+    /** e(G1, G2), the base of setup's alphaBeta. */
+    static const Fq12&
+    gtGenerator()
+    {
+        static const Fq12 gt =
+            Engine::pairing(G1::generator(), G2::generator());
+        return gt;
+    }
+
     static Fr
     nonZeroRandom(Rng& rng)
     {
@@ -461,23 +458,13 @@ class Groth16
     encodeAll(const Table& table, const std::vector<Fr>& scalars,
               std::size_t threads)
     {
-        ZKP_TRACE_SCOPE("fixed_base_encode", "n",
-                        (obs::u64)scalars.size());
-        using Jac = decltype(table.mul(std::declval<FrRepr>()));
-        std::vector<Jac> out(scalars.size());
-        sim::countAlloc(out.size() * sizeof(Jac));
+        std::vector<FrRepr> repr(scalars.size());
         parallelFor(scalars.size(), threads,
                     [&](std::size_t, std::size_t lo, std::size_t hi) {
-                        for (std::size_t i = lo; i < hi; ++i) {
-                            sim::traceLoad(&scalars[i], sizeof(Fr));
-                            out[i] = table.mul(scalars[i].toBigInt());
-                            sim::traceStore(&out[i], sizeof(Jac));
-                        }
+                        for (std::size_t i = lo; i < hi; ++i)
+                            repr[i] = scalars[i].toBigInt();
                     });
-        auto affine = ec::batchToAffine(out);
-        for (const auto& p : affine)
-            sim::traceStore(&p, sizeof(p));
-        return affine;
+        return table.mulAll(repr.data(), repr.size(), threads);
     }
 };
 

@@ -69,27 +69,18 @@ class Kzg
         while (tau.isZero())
             tau = Fr::random(rng);
 
-        ec::FixedBaseTable<G1Jac, FrRepr> t1{G1Jac{G1::generator()}};
-
-        std::vector<Fr> powers(max_degree + 1);
+        std::vector<FrRepr> powers(max_degree + 1);
         Fr cur = Fr::one();
         for (auto& p : powers) {
-            p = cur;
+            p = cur.toBigInt();
             cur *= tau;
         }
 
         Srs srs;
-        std::vector<G1Jac> jac(powers.size());
-        parallelFor(powers.size(), threads,
-                    [&](std::size_t, std::size_t lo, std::size_t hi) {
-                        for (std::size_t i = lo; i < hi; ++i)
-                            jac[i] = t1.mul(powers[i].toBigInt());
-                    });
-        srs.g1Powers = ec::batchToAffine(jac);
-
-        typename G2::Jacobian g2{G2::generator()};
+        srs.g1Powers = ec::generatorTable<G1>().mulAll(
+            powers.data(), powers.size(), threads);
         srs.g2 = G2::generator();
-        srs.g2Tau = g2.mulScalar(tau.toBigInt()).toAffine();
+        srs.g2Tau = ec::generatorTable<G2>().mul(tau.toBigInt()).toAffine();
         return srs;
     }
 

@@ -89,6 +89,97 @@ TEST_P(FixedBaseScalarSweep, AgreesWithDoubleAndAdd)
 INSTANTIATE_TEST_SUITE_P(Seeds, FixedBaseScalarSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
+// --- Batch-affine mulAll vs one-scalar mul ---------------------------
+
+template <typename Group>
+class FixedBaseMulAll : public ::testing::Test
+{
+  protected:
+    using Repr = typename Group::Scalar::Repr;
+
+    static Repr
+    powerOfTwo(unsigned bit)
+    {
+        Repr r;
+        r.limbs[bit / 64] = u64(1) << (bit % 64);
+        return r;
+    }
+
+    /** Edge scalars, some twice, then random ones up to @p n. */
+    static std::vector<Repr>
+    scalars(std::size_t n, u64 seed)
+    {
+        using Table =
+            FixedBaseTable<typename Group::Jacobian, Repr>;
+        Repr rm1 = Group::Scalar::kModulus;
+        rm1.subInPlace(Repr(1));
+        std::vector<Repr> ks{Repr(0), Repr(1), rm1, Repr(255),
+                             Repr(256), Repr(0), rm1};
+        for (unsigned w = 1; w < Table::kWindows; ++w) {
+            const Repr p = powerOfTwo(w * Table::kWindowBits);
+            Repr below = p;
+            below.subInPlace(Repr(1));
+            ks.push_back(p);
+            ks.push_back(below);
+        }
+        // Zero digits in every window but the top one.
+        const unsigned top = (Table::kWindows - 1) * Table::kWindowBits;
+        ks.push_back(powerOfTwo(top));
+        ks.push_back(powerOfTwo(top + 4));
+        Rng rng(seed);
+        while (ks.size() < n) {
+            const Repr k = Group::Scalar::random(rng).toBigInt();
+            ks.push_back(k);
+            if (ks.size() % 7 == 0 && ks.size() < n)
+                ks.push_back(k); // duplicated scalar
+        }
+        ks.resize(n);
+        return ks;
+    }
+
+    /** mulAll at each thread count equals mul(k).toAffine(). */
+    static void
+    expectMatchesMul(const std::vector<Repr>& ks,
+                     std::initializer_list<std::size_t> threads)
+    {
+        const auto& table = generatorTable<Group>();
+        std::vector<typename Group::Affine> want;
+        for (const Repr& k : ks)
+            want.push_back(table.mul(k).toAffine());
+        for (std::size_t t : threads) {
+            const auto got = table.mulAll(ks.data(), ks.size(), t);
+            ASSERT_EQ(got.size(), ks.size());
+            for (std::size_t i = 0; i < ks.size(); ++i) {
+                EXPECT_EQ(got[i], want[i])
+                    << "threads " << t << " scalar " << i;
+            }
+        }
+    }
+};
+
+using FixedBaseGroups =
+    ::testing::Types<Bn254G1, Bn254G2, Bls381G1, Bls381G2>;
+TYPED_TEST_SUITE(FixedBaseMulAll, FixedBaseGroups);
+
+TYPED_TEST(FixedBaseMulAll, MatchesMulOnEdgeAndDuplicateScalars)
+{
+    const auto ks = TestFixture::scalars(90, 601);
+    TestFixture::expectMatchesMul(ks, {1, 3, 4});
+    TestFixture::expectMatchesMul({ks[2]}, {1, 4}); // n = 1
+    EXPECT_TRUE(
+        generatorTable<TypeParam>().mulAll(ks.data(), 0, 4).empty());
+}
+
+TYPED_TEST(FixedBaseMulAll, MatchesMulAcrossChunkBoundary)
+{
+    using Table = FixedBaseTable<typename TypeParam::Jacobian,
+                                 typename TestFixture::Repr>;
+    // One full chunk plus a short one at one thread; uneven chunks at
+    // four.
+    TestFixture::expectMatchesMul(
+        TestFixture::scalars(Table::kEncodeChunk + 5, 602), {1, 4});
+}
+
 class MsmSizeSweep : public ::testing::TestWithParam<std::size_t>
 {
 };
