@@ -79,6 +79,10 @@ ThreadPool::run(std::size_t n, std::size_t workers, RawFn fn, void* ctx)
         regionCounts_.reset();
         regionCounted_ = false;
     }
+    if (regionHw_.validMask != 0) {
+        obs::pmu::addRegionDelta(regionHw_);
+        regionHw_ = obs::pmu::Sample{};
+    }
 }
 
 void
@@ -108,14 +112,15 @@ ThreadPool::workerLoop(std::size_t slot)
         const bool counted = sim::countingEnabled();
         if (counted)
             sim::counters().reset();
+        obs::pmu::Sample hw_delta;
         {
             // Stable per-slot Perfetto lane; one "worker" span per
             // region participation, covering every chunk it claims.
             obs::ScopedWorkerLane lane((obs::u32)slot);
             ZKP_TRACE_SCOPE("worker", "slot", (obs::u64)slot);
             // Hardware counters are per-thread: sample around this
-            // worker's whole participation and fold the delta into
-            // the process-wide aggregate the StageRunner drains.
+            // worker's whole participation; run() credits the delta
+            // to the region's caller.
             obs::pmu::Sample hw_before;
             const bool hw =
                 obs::pmu::enabled() && obs::pmu::readThread(hw_before);
@@ -130,11 +135,11 @@ ThreadPool::workerLoop(std::size_t slot)
             if (hw) {
                 obs::pmu::Sample hw_after;
                 if (obs::pmu::readThread(hw_after))
-                    obs::pmu::accumulateWorkerDelta(
-                        obs::pmu::delta(hw_before, hw_after));
+                    hw_delta = obs::pmu::delta(hw_before, hw_after);
             }
         }
         lock.lock();
+        regionHw_ += hw_delta;
         if (counted) {
             regionCounts_.merge(sim::counters());
             regionCounted_ = true;

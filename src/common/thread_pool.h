@@ -30,6 +30,11 @@
  *    caller's counters before it returns. Inline regions count on the
  *    caller directly. With no scope alive a participation pays one
  *    relaxed load for this;
+ *  - hardware counters (obs/pmu.h) take the same return path: each
+ *    slot samples its PMU around its participation, hands the delta
+ *    in with its simulator counts, and run() credits the region's sum
+ *    to the caller, whose pmu::readThread() then includes it. No
+ *    worker sample crosses to another caller's stage;
  *  - regions are fork-join: run() returns only after every
  *    participant finished, with all worker writes visible to the
  *    caller.
@@ -64,6 +69,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/pmu.h"
 #include "sim/counters.h"
 
 namespace zkp {
@@ -91,10 +97,10 @@ class ThreadPool
      * Execute a fork-join region over [0, n) with min(workers,
      * kMaxWorkers) participating slots. Blocks until every participant
      * is done, then adds the workers' simulator counts to the calling
-     * thread's sim::counters(). Concurrent top-level regions
-     * serialize, so each caller receives exactly its own region's
-     * counts; call with workers >= 2 and n >= 1 (parallelFor handles
-     * the inline cases).
+     * thread's sim::counters() and their PMU deltas to its
+     * pmu::readThread(). Concurrent top-level regions serialize, so
+     * each caller receives exactly its own region's counts; call with
+     * workers >= 2 and n >= 1 (parallelFor handles the inline cases).
      */
     void run(std::size_t n, std::size_t workers, RawFn fn, void* ctx);
 
@@ -139,10 +145,12 @@ class ThreadPool
     std::size_t finished_ = 0;
     std::atomic<std::size_t> cursor_{0};
 
-    // Simulator counts the current region's slots handed in, and
-    // whether any slot counted; run() moves them to its caller.
+    // Simulator counts and PMU deltas the current region's slots
+    // handed in, and whether any slot counted; run() moves them to
+    // its caller.
     sim::Counters regionCounts_;
     bool regionCounted_ = false;
+    obs::pmu::Sample regionHw_;
 
     std::atomic<std::uint64_t> regions_{0};
 };

@@ -48,6 +48,9 @@ stageFootprintUops(Stage s, std::size_t constraints)
 std::vector<std::pair<std::string, double>>
 counterPairs(const sim::Counters& c)
 {
+    auto prim = [&](sim::PrimOp op) {
+        return (double)c.prim[(std::size_t)op];
+    };
     return {
         {"instructions", (double)c.instructions()},
         {"compute", (double)c.compute},
@@ -59,6 +62,14 @@ counterPairs(const sim::Counters& c)
         {"imuls", (double)c.imuls},
         {"alloc_bytes", (double)c.allocBytes},
         {"memcpy_bytes", (double)c.memcpyBytes},
+        {"msm_calls", prim(sim::PrimOp::MsmCall)},
+        {"msm_points", prim(sim::PrimOp::MsmPoint)},
+        {"batch_flushes", prim(sim::PrimOp::BatchFlush)},
+        {"batch_rescheduled", prim(sim::PrimOp::BatchRescheduled)},
+        {"ntt_transforms", prim(sim::PrimOp::NttTransform)},
+        {"miller_loops", prim(sim::PrimOp::MillerLoop)},
+        {"final_exps", prim(sim::PrimOp::FinalExp)},
+        {"fixed_base_muls", prim(sim::PrimOp::FixedBaseMul)},
     };
 }
 
@@ -71,11 +82,10 @@ StageBracket::StageBracket() : counted_(sim::countingEnabled())
     if (obs::tracingEnabled())
         spansBefore_ = obs::spanAggregates();
     countersBefore_ = sim::counters();
-    // Hardware counters: drop any worker deltas accumulated before
-    // the stage, then sample this thread around the measured region
-    // (workers add theirs during the region).
-    hwOn_ = obs::pmu::enabled() &&
-            (obs::pmu::drainWorkerDeltas(), obs::pmu::readThread(hwBefore_));
+    // Hardware counters: this thread's reading includes the worker
+    // deltas of the regions it opened (common/thread_pool.h), so the
+    // before/after pair covers exactly this stage's own regions.
+    hwOn_ = obs::pmu::enabled() && obs::pmu::readThread(hwBefore_);
     // Memory capture brackets exactly the measured region: RSS and
     // peak-RSS deltas always, allocator counters and span sites when
     // ZKP_MEMPROF=1.
@@ -91,11 +101,9 @@ StageBracket::finish(StageRun& run, const char* stage,
     run.mem = obs::memprof::stageDelta(memBefore_);
     if (hwOn_) {
         obs::pmu::Sample hw_after;
-        if (obs::pmu::readThread(hw_after)) {
-            obs::pmu::Sample d = obs::pmu::delta(hwBefore_, hw_after);
-            d += obs::pmu::drainWorkerDeltas();
-            run.hw = obs::pmu::deriveStats(d, run.seconds);
-        }
+        if (obs::pmu::readThread(hw_after))
+            run.hw = obs::pmu::deriveStats(
+                obs::pmu::delta(hwBefore_, hw_after), run.seconds);
     }
 
     obs::StageReport rep;

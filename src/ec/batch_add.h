@@ -58,7 +58,7 @@
 #include "ec/curve.h"
 #include "ff/fp.h"
 #include "obs/memprof.h"
-#include "obs/metrics.h"
+#include "sim/counters.h"
 
 namespace zkp::ec {
 
@@ -119,7 +119,7 @@ class BatchAffineAdder
         tracked_.set("msm.batch_affine",
                      buckets * (sizeof(Affine) + sizeof(std::uint32_t)) +
                          cap_ * (2 * sizeof(Pending) + sizeof(Pair) +
-                                 3 * sizeof(Field)));
+                                 4 * sizeof(Field)));
     }
 
     /**
@@ -244,9 +244,6 @@ class BatchAffineAdder
     void
     flushOnce()
     {
-        static obs::Counter& flushes = obs::counter("msm.batch_flushes");
-        static obs::Counter& rescheduled =
-            obs::counter("msm.batch_rescheduled");
         applyBatch();
         adds_.clear();
         again_.swap(waiting_);
@@ -258,8 +255,8 @@ class BatchAffineAdder
             schedule(e.bucket, e.pt);
         ++stats_.flushes;
         stats_.rescheduled += again_.size();
-        flushes.add();
-        rescheduled.add(again_.size());
+        sim::count(sim::PrimOp::BatchFlush);
+        sim::count(sim::PrimOp::BatchRescheduled, 4, again_.size());
         again_.clear();
     }
 
@@ -301,7 +298,8 @@ class BatchAffineAdder
         const std::size_t m = app_.size();
         if (m == 0)
             return;
-        ff::batchInverse(den_.data(), m);
+        prefix_.resize(m);
+        ff::batchInverse(den_.data(), m, prefix_.data());
 
         // lambda = num / den; reuse den for lambda, then num for
         // lambda^2 (chord and tangent share the rest of the formula).
@@ -330,7 +328,10 @@ class BatchAffineAdder
     std::vector<Pending> adds_, waiting_, again_;
     std::vector<Pair> pairs_;
     std::vector<Apply> app_;
-    std::vector<Field> den_, num_, t_;
+    /// Flush scratch: denominators, numerators, the y products and
+    /// the batch inversion's prefix products. A warm adder's flush
+    /// reuses their capacity and allocates nothing.
+    std::vector<Field> den_, num_, t_, prefix_;
     /// Scratch footprint account ("msm.batch_affine").
     obs::memprof::TrackedBytes tracked_;
 };

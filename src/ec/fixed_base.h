@@ -31,7 +31,6 @@
 #include "common/parallel.h"
 #include "ec/batch_add.h"
 #include "ec/curve.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/counters.h"
 #include "sim/memtrace.h"
@@ -81,8 +80,6 @@ class FixedBaseTable
         }
         table_ = batchToAffine(jac);
         sim::countAlloc(table_.size() * sizeof(Affine));
-        obs::gauge("fixed_base.table_bytes")
-            .set((double)footprintBytes());
         tracked_.set("ec.fixed_base_table", footprintBytes());
     }
 
@@ -90,8 +87,7 @@ class FixedBaseTable
     Point
     mul(const ScalarRepr& k) const
     {
-        static obs::Counter& muls = obs::counter("fixed_base.muls");
-        muls.add();
+        sim::count(sim::PrimOp::FixedBaseMul);
         Point acc = Point::infinity();
         for (unsigned w = 0; w < kWindows; ++w) {
             sim::count(sim::PrimOp::MsmWindow);
@@ -111,8 +107,7 @@ class FixedBaseTable
     mulAll(const ScalarRepr* k, std::size_t n, std::size_t threads) const
     {
         ZKP_TRACE_SCOPE("fixed_base_encode", "n", (obs::u64)n);
-        static obs::Counter& muls = obs::counter("fixed_base.muls");
-        muls.add(n);
+        sim::count(sim::PrimOp::FixedBaseMul, 4, n);
         std::vector<Affine> out(n);
         sim::countAlloc(n * sizeof(Affine));
         if (n == 0)

@@ -62,7 +62,6 @@
 #include "ec/batch_add.h"
 #include "ec/curve.h"
 #include "ec/glv.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/counters.h"
 #include "sim/memtrace.h"
@@ -371,10 +370,8 @@ msm(const Affine* points, const ScalarRepr* scalars, std::size_t n,
     if (n == 0)
         return Point::infinity();
     ZKP_TRACE_SCOPE("msm", "n", (obs::u64)n);
-    static obs::Counter& calls = obs::counter("msm.calls");
-    static obs::Histogram& sizes = obs::histogram("msm.points");
-    calls.add();
-    sizes.record(n);
+    sim::count(sim::PrimOp::MsmCall);
+    sim::count(sim::PrimOp::MsmPoint, 4, n);
     // Workers are capped by BOTH the chunk floor and the physical
     // core count: each window worker owns a bucket array plus batch
     // staging (~hundreds of KB), so oversubscribing cores makes the

@@ -495,14 +495,16 @@ mulBatchConst(F* out, const F* a, const F& c, std::size_t n)
 
 namespace detail {
 
-/** Single-chain Montgomery batch inversion (reference form). */
+/**
+ * Single-chain Montgomery batch inversion (reference form); @p prefix
+ * is scratch for n elements.
+ */
 template <typename F>
 void
-batchInverseSerial(F* elems, std::size_t n)
+batchInverseSerial(F* elems, std::size_t n, F* prefix)
 {
     if (n == 0)
         return;
-    std::vector<F> prefix(n);
     F acc = F::one();
     for (std::size_t i = 0; i < n; ++i) {
         prefix[i] = acc;
@@ -530,15 +532,18 @@ batchInverseSerial(F* elems, std::size_t n)
  * still-active chains at any step is a prefix and the accumulators
  * stay contiguous for mulBatch.
  *
+ * @param prefix scratch for @p n elements; a caller that inverts
+ *               batches repeatedly passes the same buffer so the
+ *               inversion allocates nothing
  * @pre no element is zero
  */
 template <typename F>
 void
-batchInverse(F* elems, std::size_t n)
+batchInverse(F* elems, std::size_t n, F* prefix)
 {
     constexpr std::size_t K = 8;
     if (n < 4 * K) {
-        detail::batchInverseSerial(elems, n);
+        detail::batchInverseSerial(elems, n, prefix);
         return;
     }
 
@@ -552,7 +557,6 @@ batchInverse(F* elems, std::size_t n)
             ++chains;
     }
 
-    std::vector<F> prefix(n);
     F acc[K], gath[K], res[K];
     for (std::size_t l = 0; l < K; ++l)
         acc[l] = F::one();
@@ -568,7 +572,8 @@ batchInverse(F* elems, std::size_t n)
         mulBatch(acc, acc, gath, kc);
     }
 
-    detail::batchInverseSerial(acc, chains);
+    F chain_prefix[K];
+    detail::batchInverseSerial(acc, chains, chain_prefix);
 
     for (std::size_t i = m; i-- > 0;) {
         std::size_t kc = 0;
@@ -588,6 +593,15 @@ batchInverse(F* elems, std::size_t n)
             if (i < len[l])
                 elems[base[l] + i] = res[k2++];
     }
+}
+
+/** batchInverse with its own prefix scratch (one allocation). */
+template <typename F>
+void
+batchInverse(F* elems, std::size_t n)
+{
+    std::vector<F> prefix(n);
+    batchInverse(elems, n, prefix.data());
 }
 
 } // namespace zkp::ff

@@ -38,7 +38,7 @@
  * working).
  *
  * Reentrancy contract: the allocation hooks never allocate and never
- * touch the metrics/trace registries (whose lazy construction
+ * touch the trace registry (whose lazy construction
  * allocates); they only bump pre-sized atomic blocks. The one
  * allocating step — registering a new thread's block — is guarded by
  * a thread-local in-hook flag so the nested allocation passes through

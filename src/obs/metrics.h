@@ -1,19 +1,15 @@
 /**
  * @file
- * Named metrics registry: counters, gauges and log-scale histograms.
+ * Lock-free streaming instruments: a monotonic counter and a
+ * log-scale histogram.
  *
- * Instruments are process-global, created on first use and looked up
- * by name. Kernels cache the reference in a function-local static so
- * the hot path is a single relaxed atomic add:
- *
- *   static obs::Counter& calls = obs::counter("msm.calls");
- *   calls.add();
- *
- * All instruments are thread-safe: worker threads spawned by
- * parallelFor update them directly and the totals merge by virtue of
- * atomicity (no per-thread staging to drain). metricsJson() renders
- * the whole registry; the run report (obs/report.h) embeds the
- * counters (counterSnapshot).
+ * Both are plain members of whatever owns them (serve::MetricsHub
+ * holds one set per request lane); there is no registry and no lookup
+ * by name. Every update is a relaxed atomic add, so any thread may
+ * record into a shared instrument and readers never block writers.
+ * Kernel event counts (MSM calls, NTTs, pairings, ...) are not kept
+ * here: they are sim::PrimOp counts (sim/counters.h), which diff per
+ * stage into each run-report record.
  */
 
 #ifndef ZKP_OBS_METRICS_H
@@ -22,8 +18,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace zkp::obs {
 
@@ -41,33 +35,13 @@ class Counter
 
     u64 value() const { return v_.load(std::memory_order_relaxed); }
 
-    void reset() { v_.store(0, std::memory_order_relaxed); }
-
   private:
     std::atomic<u64> v_{0};
 };
 
-/** Last-write-wins instantaneous value. */
-class Gauge
-{
-  public:
-    void
-    set(double v)
-    {
-        v_.store(v, std::memory_order_relaxed);
-    }
-
-    double value() const { return v_.load(std::memory_order_relaxed); }
-
-    void reset() { v_.store(0.0, std::memory_order_relaxed); }
-
-  private:
-    std::atomic<double> v_{0.0};
-};
-
 /**
  * Log-scale (powers of two) histogram for long-tailed size
- * distributions: MSM sizes, NTT lengths, allocation bytes. Bucket i
+ * distributions: latencies, batch sizes, allocation bytes. Bucket i
  * holds values v with 2^(i-1) < v <= ... — concretely, bucket 0 holds
  * v == 0 and v == 1, bucket i >= 1 holds 2^i <= v < 2^(i+1).
  */
@@ -225,17 +199,6 @@ class Histogram
         return s;
     }
 
-    void
-    reset()
-    {
-        for (auto& b : buckets_)
-            b.store(0, std::memory_order_relaxed);
-        count_.store(0, std::memory_order_relaxed);
-        sum_.store(0, std::memory_order_relaxed);
-        min_.store(~u64(0), std::memory_order_relaxed);
-        max_.store(0, std::memory_order_relaxed);
-    }
-
   private:
     static void
     atomicMin(std::atomic<u64>& slot, u64 v)
@@ -263,20 +226,6 @@ class Histogram
     std::atomic<u64> min_{~u64(0)};
     std::atomic<u64> max_{0};
 };
-
-/** Find-or-create by name. References stay valid for process life. */
-Counter& counter(const std::string& name);
-Gauge& gauge(const std::string& name);
-Histogram& histogram(const std::string& name);
-
-/** Zero every registered instrument (registrations persist). */
-void resetMetrics();
-
-/** Name-sorted snapshot of all counters, for report embedding. */
-std::vector<std::pair<std::string, u64>> counterSnapshot();
-
-/** Render the whole registry as a JSON document. */
-std::string metricsJson();
 
 } // namespace zkp::obs
 

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 
 #if defined(__linux__)
 #include <linux/perf_event.h>
@@ -378,8 +377,8 @@ envDisabled(const char* name)
     return v && v[0] == '0' && v[1] == '\0';
 }
 
-std::mutex gPendingMutex;
-Sample gPendingWorkers;
+/// Worker deltas of the pool regions this thread opened.
+thread_local Sample tlRegionWorkers;
 
 } // namespace
 
@@ -416,9 +415,10 @@ bool
 readThread(Sample& out)
 {
 #if ZKP_PMU_LINUX
-    if (!enabled())
+    if (!enabled() || !tlCounters.read(out))
         return false;
-    return tlCounters.read(out);
+    out += tlRegionWorkers;
+    return true;
 #else
     (void)out;
     return false;
@@ -426,19 +426,9 @@ readThread(Sample& out)
 }
 
 void
-accumulateWorkerDelta(const Sample& d)
+addRegionDelta(const Sample& d)
 {
-    std::lock_guard<std::mutex> g(gPendingMutex);
-    gPendingWorkers += d;
-}
-
-Sample
-drainWorkerDeltas()
-{
-    std::lock_guard<std::mutex> g(gPendingMutex);
-    Sample out = gPendingWorkers;
-    gPendingWorkers = Sample{};
-    return out;
+    tlRegionWorkers += d;
 }
 
 HwStats

@@ -11,12 +11,13 @@
  * sim-vs-PMU side-by-side tables (bench_paper --hw fig4 table2 table3).
  *
  * Design:
- *  - Counters are per-thread (pid=0, cpu=-1, no inherit): the main
- *    thread samples around each measured region and pool workers
- *    sample around their region participation, accumulating deltas
- *    into a process-wide aggregate the runner drains. (Simulated
- *    counters take a different path: the pool hands them straight to
- *    the region's caller, see common/thread_pool.h.)
+ *  - Counters are per-thread (pid=0, cpu=-1, no inherit). Pool
+ *    workers sample around their region participation and the pool
+ *    hands the deltas to the thread that opened the region, as it
+ *    does the simulator counts (common/thread_pool.h); that thread's
+ *    readThread() includes them from then on. A stage bracket is a
+ *    before/after pair of readings on its own thread, so it covers
+ *    its own regions' workers and no other caller's.
  *  - Events open in small groups (cycles/instructions/branches and
  *    the LLC set) so each group fits the PMU's programmable counters
  *    and schedules as a unit; the top-down level-1 metric events
@@ -131,20 +132,19 @@ const std::string& unavailableReason();
 bool enabled();
 
 /**
- * Read the calling thread's counters (opened lazily on first use).
- * Returns false — leaving @p out untouched — when counters are
- * unavailable or disabled.
+ * Read the calling thread's counters (opened lazily on first use)
+ * plus the worker deltas of the pool regions it opened. Returns false
+ * — leaving @p out untouched — when counters are unavailable or
+ * disabled.
  */
 bool readThread(Sample& out);
 
 /**
- * Fold a worker thread's region delta into the process-wide pending
- * aggregate (called by the thread pool on the worker thread).
+ * Credit @p d, the summed worker deltas of a pool region, to the
+ * calling thread, which opened the region: its later readThread()
+ * results include them (called by ThreadPool::run).
  */
-void accumulateWorkerDelta(const Sample& d);
-
-/** Take and clear the pending worker aggregate. */
-Sample drainWorkerDeltas();
+void addRegionDelta(const Sample& d);
 
 /** Derived per-stage hardware statistics (the report's hw section). */
 struct HwStats

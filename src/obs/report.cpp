@@ -4,7 +4,6 @@
 #include <mutex>
 
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/pmu.h"
 
 namespace zkp::obs {
@@ -55,10 +54,10 @@ runReportJson()
 
     JsonWriter w;
     w.beginObject();
-    // Schema /3: adds the per-stage "mem" object and the top-level
-    // "mem" availability block (consumers of /2 keep working: no
-    // field was removed or retyped).
-    w.key("schema").value("zkperf-run-report/3");
+    // Schema /4: the kernel event counts (msm_calls, ntt_transforms,
+    // miller_loops, ...) are per-stage counters of each record, and
+    // the cumulative top-level "metrics" block of /3 is gone.
+    w.key("schema").value("zkperf-run-report/4");
 
     w.key("stages").beginArray();
     for (const StageReport& r : snapshot) {
@@ -131,16 +130,6 @@ runReportJson()
         w.key("reason").value(memprof::available()
                                   ? "disabled (set ZKP_MEMPROF=1)"
                                   : memprof::unavailableReason());
-    w.endObject();
-
-    // Registry snapshot: cumulative, not per stage — the per-stage
-    // deltas live in the counters of each record above.
-    w.key("metrics");
-    w.beginObject();
-    w.key("counters").beginObject();
-    for (const auto& [name, value] : counterSnapshot())
-        w.key(name).value(value);
-    w.endObject();
     w.endObject();
 
     w.endObject();

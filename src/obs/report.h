@@ -70,8 +70,8 @@ std::vector<StageReport> stageReports();
 void clearStageReports();
 
 /**
- * Render the accumulated records plus a metrics-registry snapshot as
- * one JSON document: {"schema":…, "stages":[…], "metrics":{…}}.
+ * Render the accumulated records as one JSON document:
+ * {"schema":…, "stages":[…], "hw":{…}, "mem":{…}}.
  */
 std::string runReportJson();
 

@@ -25,8 +25,8 @@
 #include "common/bignum.h"
 #include "ec/groups.h"
 #include "ff/fp12.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/counters.h"
 
 namespace zkp::pairing {
 
@@ -132,9 +132,7 @@ class Engine
     millerLoop(const G1Affine& p, const G2Affine& q)
     {
         ZKP_TRACE_SCOPE("pairing_miller_loop");
-        static obs::Counter& loops =
-            obs::counter("pairing.miller_loops");
-        loops.add();
+        sim::count(sim::PrimOp::MillerLoop);
         if (p.infinity || q.infinity)
             return Fq12::one();
 
@@ -173,8 +171,7 @@ class Engine
     finalExponentiation(const Fq12& f)
     {
         ZKP_TRACE_SCOPE("pairing_final_exp");
-        static obs::Counter& exps = obs::counter("pairing.final_exps");
-        exps.add();
+        sim::count(sim::PrimOp::FinalExp);
         // Easy part: f^((p^6 - 1)(p^2 + 1)).
         Fq12 g = f.conjugate() * f.inverse();
         g = g.frobenius(2) * g;

@@ -27,7 +27,6 @@
 
 #include "common/parallel.h"
 #include "ff/fp.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/counters.h"
 #include "sim/memtrace.h"
@@ -316,11 +315,7 @@ class Domain
             return;
 
         ZKP_TRACE_SCOPE("ntt", "n", (obs::u64)n);
-        static obs::Counter& transforms = obs::counter("ntt.transforms");
-        static obs::Counter& butterflies =
-            obs::counter("ntt.butterflies");
-        transforms.add();
-        butterflies.add((obs::u64)(n / 2) * log2n_);
+        sim::count(sim::PrimOp::NttTransform);
 
         const std::size_t workers = nttThreads(n, threads);
         const TwiddleCache& tc = twiddles(workers);

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/parallel.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "r1cs/r1cs.h"
 
@@ -189,9 +188,6 @@ class CircuitBuilder
     {
         ZKP_TRACE_SCOPE("r1cs_compile", "constraints",
                         (obs::u64)constraints_.size());
-        static obs::Counter& compiled =
-            obs::counter("compile.constraints");
-        compiled.add(constraints_.size());
         std::vector<Constraint<Fr>> rows(constraints_.size());
         sim::countAlloc(constraints_.size() * sizeof(Constraint<Fr>));
         parallelFor(constraints_.size(), threads,

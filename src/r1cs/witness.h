@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/parallel.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "r1cs/circuit.h"
 
@@ -63,9 +62,6 @@ class WitnessCalculator
 
         ZKP_TRACE_SCOPE("witness_eval", "gates",
                         (obs::u64)program_.ops.size());
-        static obs::Counter& gates = obs::counter("witness.gates");
-        gates.add(program_.ops.size());
-
         std::vector<Fr> z(program_.numVars, Fr::zero());
         sim::countAlloc(z.size() * sizeof(Fr));
         z[0] = Fr::one();

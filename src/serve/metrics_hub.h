@@ -20,8 +20,8 @@
  *
  * Scrapers (the stats/v2 wire op, zkperfd's --metrics-interval file,
  * the ServeServer tests' cross-check) call snapshotLanes(): a
- * coherent copy of every lane using the same count-stable snapshot
- * loop the metrics exporters use, safe against concurrent writers
+ * coherent copy of every lane using Histogram::snapshot()'s
+ * count-stable loop, safe against concurrent writers
  * (the TSan-covered contract — tests/test_serve_metrics.cpp).
  *
  * The JSON rendering (statsJson) follows the zkperf-run-report

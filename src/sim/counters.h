@@ -20,6 +20,12 @@
  * predictable branch, so the provers, the verifiers and the daemon
  * pay nothing for the simulator. The optional memory-address tracing
  * path (see sim/memtrace.h) keeps its own per-thread gate.
+ *
+ * The same path carries the kernels' event counts (MSM calls and
+ * points, batch-affine flushes, NTTs, Miller loops, final
+ * exponentiations, fixed-base multiplications): signature-less
+ * PrimOps that merge through the pool and diff per stage like every
+ * other count, so each stage record reports its own events.
  */
 
 #ifndef ZKP_SIM_COUNTERS_H
@@ -49,6 +55,16 @@ enum class PrimOp : unsigned
     MsmWindow,     ///< Pippenger scalar-window extraction + bucket index
     HashAbsorb,    ///< sponge/Merkle bookkeeping per absorbed element
     HashCompress,  ///< one SHA-256 compression (64 rounds + schedule)
+    // Kernel events: no signature (signatureFor returns zeros), so
+    // they add to prim[] only and never move the instruction mix.
+    MsmCall,          ///< one msm() call
+    MsmPoint,         ///< input points of msm() calls (n per call)
+    BatchFlush,       ///< one batch-affine flush (one shared inversion)
+    BatchRescheduled, ///< points a batch-affine flush scheduled again
+    NttTransform,     ///< one forward or inverse NTT
+    MillerLoop,       ///< one Miller loop
+    FinalExp,         ///< one final exponentiation
+    FixedBaseMul,     ///< one fixed-base scalar multiplication
     NumOps
 };
 

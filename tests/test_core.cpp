@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/analysis.h"
 #include "snark/curve.h"
 
@@ -71,18 +73,32 @@ TEST(StageRunner, CountersIsolatePerStage)
 // values are those the library produced when counting was always on;
 // the Setup values are those of the batch-affine fixed-base encoder
 // and the GT exponentiation for alphaBeta (BN254 exp at 2^10, one
-// thread, default seed).
+// thread, default seed). The kernel events are pinned as the code
+// counts them: Verifying runs one MSM over the public input, three
+// Miller loops and two final exponentiations (e(A, B) is finished
+// apart from the other two pairs).
 TEST(StageRunner, PinnedPrimCountsAtTwoToTen)
 {
+    // The kernel events, in the order of Pin::events.
+    constexpr sim::PrimOp kEvents[] = {
+        sim::PrimOp::MsmCall,      sim::PrimOp::MsmPoint,
+        sim::PrimOp::BatchFlush,   sim::PrimOp::BatchRescheduled,
+        sim::PrimOp::NttTransform, sim::PrimOp::MillerLoop,
+        sim::PrimOp::FinalExp,     sim::PrimOp::FixedBaseMul};
     struct Pin
     {
         Stage stage;
         sim::u64 fieldMul, fieldAdd, msmWindow, nttButterfly, alloc;
         sim::u64 instructions;
+        std::array<sim::u64, std::size(kEvents)> events;
     };
     const Pin pins[] = {
-        {Stage::Setup, 621361, 850572, 164256, 0, 7, 62379807},
-        {Stage::Proving, 975716, 1276096, 80242, 35840, 6, 93998430},
+        {Stage::Setup, 621361, 850572, 164256, 0, 7, 62379807,
+         {0, 0, 471, 0, 0, 0, 0, 5133}},
+        {Stage::Proving, 975716, 1276096, 80242, 35840, 6, 93998430,
+         {5, 6150, 524, 13474, 7, 0, 0, 0}},
+        {Stage::Verifying, 397776, 1515964, 129, 0, 0, 61445217,
+         {1, 1, 0, 0, 0, 3, 2, 0}},
     };
     StageRunner<Bn254> runner(std::size_t(1) << 10);
     for (const Pin& pin : pins) {
@@ -98,6 +114,9 @@ TEST(StageRunner, PinnedPrimCountsAtTwoToTen)
             << name;
         EXPECT_EQ(prim(sim::PrimOp::Alloc), pin.alloc) << name;
         EXPECT_EQ(c.instructions(), pin.instructions) << name;
+        for (std::size_t i = 0; i < std::size(kEvents); ++i)
+            EXPECT_EQ(prim(kEvents[i]), pin.events[i])
+                << name << ", event " << i;
     }
 }
 

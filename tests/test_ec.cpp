@@ -11,7 +11,7 @@
 #include "common/rng.h"
 #include "ec/groups.h"
 #include "ec/msm.h"
-#include "obs/metrics.h"
+#include "sim/counters.h"
 
 namespace zkp::ec {
 namespace {
@@ -311,9 +311,9 @@ TEST(BatchAffine, OneBucketStreamFlushesPerBatch)
 }
 
 // msmCurve over all-equal and all-one scalars: every window's digits
-// reach one or two buckets. The msm.batch_flushes counter must still
-// grow by O(n / batch) per window (the bound of the test above), and
-// the result must be the plain sum.
+// reach one or two buckets. The BatchFlush count must still grow by
+// O(n / batch) per window (the bound of the test above), and the
+// result must be the plain sum.
 TEST(BatchAffine, DegenerateScalarsFlushPerBatch)
 {
     using G = Bn254G1;
@@ -336,12 +336,16 @@ TEST(BatchAffine, DegenerateScalarsFlushPerBatch)
 
     Rng rng(34);
     const Repr k = G::Scalar::random(rng).toBigInt();
-    obs::Counter& flushes = obs::counter("msm.batch_flushes");
+    sim::CountingScope counting;
+    auto flushes = [] {
+        return sim::counters().prim[(std::size_t)sim::PrimOp::BatchFlush];
+    };
     for (const Repr& s : {k, Repr(1)}) {
         const std::vector<Repr> scalars(n, s);
-        const std::uint64_t before = flushes.value();
+        const std::uint64_t before = flushes();
         const J got = msmCurve<G>(points.data(), scalars.data(), n, 1);
-        const std::uint64_t delta = flushes.value() - before;
+        const std::uint64_t delta = flushes() - before;
+        EXPECT_GT(delta, 0u) << "flushes were not counted";
         EXPECT_LE(delta, windows * per_window)
             << "scalar " << (s == k ? "k" : "1") << ": c = " << c << ", "
             << windows << " windows, batch " << cap;

@@ -3,9 +3,9 @@
  * Memory observability tests (src/obs/memprof.h): deterministic
  * allocation counting through the operator new/delete interposition,
  * span-site attribution, RSS/peak-RSS readers, tracked-owner
- * accounting, stage deltas whose sites add up to their counters, and
- * the tracked-vs-allocator reconciliation on a real 2^12 proving
- * pipeline.
+ * accounting, stage deltas whose sites add up to their counters, the
+ * tracked-vs-allocator reconciliation on a real 2^12 proving
+ * pipeline, and allocation-free batch-affine flushes.
  *
  * Under sanitizer builds the interposition shim is compiled out
  * (available() == false) and the allocation-dependent tests skip —
@@ -25,6 +25,8 @@
 
 #include "common/rng.h"
 #include "core/pipeline.h"
+#include "ec/batch_add.h"
+#include "ec/groups.h"
 #include "obs/memprof.h"
 #include "obs/trace.h"
 #include "poly/domain.h"
@@ -414,6 +416,47 @@ TEST(Memprof, TwiddleAccountFollowsDomainLifetime)
         EXPECT_GT(ownerBytes("ntt.twiddles"), base);
     }
     EXPECT_EQ(ownerBytes("ntt.twiddles"), base);
+}
+
+// A BatchAffineAdder keeps its flush scratch, the batch inversion's
+// prefix products included, across flushes: once its buffers have
+// grown to a round's largest batch, a round of adds and flushes
+// allocates nothing.
+TEST(Memprof, WarmBatchAffineFlushAllocatesNothing)
+{
+    if (!memprof::available())
+        GTEST_SKIP() << memprof::unavailableReason();
+    ASSERT_TRUE(memprof::setTracking(true));
+
+    using G = zkp::ec::Bn254G1;
+    constexpr std::size_t kBuckets = 256;
+    constexpr std::size_t kPoints = 4096 + 16;
+    std::vector<G::Affine> pts;
+    pts.reserve(kPoints);
+    const G::Jacobian g{G::generator()};
+    G::Jacobian p = g;
+    for (std::size_t i = 0; i < kPoints; ++i) {
+        pts.push_back(p.toAffine());
+        p += g;
+    }
+
+    zkp::ec::BatchAffineAdder<G::Field> acc(kBuckets);
+    // After the first round every bucket holds a point, so each later
+    // round schedules the same batches: 64 full ones of 64 adds (the
+    // 8-chain inversion) and a last one of 16 (the serial chain).
+    auto round = [&] {
+        for (std::size_t i = 0; i < kPoints; ++i)
+            acc.add(i % kBuckets, pts[i]);
+        acc.flush();
+    };
+    round();
+    round();
+    const std::uint64_t flushes = acc.stats().flushes;
+    const auto before = memprof::threadStats();
+    round();
+    const auto after = memprof::threadStats();
+    EXPECT_GT(acc.stats().flushes, flushes);
+    EXPECT_EQ(after.allocCount - before.allocCount, 0u);
 }
 
 /**
