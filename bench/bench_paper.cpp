@@ -16,11 +16,9 @@
  *   - fig6 and table6 share the strong-scaling sweep;
  *   - fig7 and table6 share the weak-scaling sweep.
  *
- * ablation (E10) runs on BN254 only: A3 repeats the memory analysis at
- * the largest size under four trace sampling masks, and A4 times the
- * simulator's counting probe. schemes (E11) proves the exponentiation
- * statement with Groth16 and PlonK on both curves and, on BN254, an
- * n-step MiMC STARK.
+ * ablation (E10) runs on BN254 only: A4 times the simulator's counting
+ * probe. schemes (E11) proves the exponentiation statement with
+ * Groth16 and PlonK on both curves and, on BN254, an n-step MiMC STARK.
  *
  * zoo (E12), footprint (E13) and stark (E14) run on BN254 only. zoo and
  * footprint run one pipeline over each circuit-zoo entry at one scale
@@ -41,10 +39,11 @@
  * largest size; one measured pipeline run per curve serves all three.
  * Without perf access it says why and prints the simulated tables.
  *
- * Environment: ZKP_MIN_LOG_N, ZKP_MAX_LOG_N, ZKP_REPEATS and
- * ZKP_SAMPLE_MASK (see bench_util.h), and ZKP_WS_BASE_LOG_N, the
- * weak-scaling base size as log2 (default 10; the paper starts at
- * 2^13).
+ * Environment: ZKP_MIN_LOG_N, ZKP_MAX_LOG_N and ZKP_REPEATS (see
+ * bench_util.h), and ZKP_WS_BASE_LOG_N, the weak-scaling base size as
+ * log2 (1–30, default 10; the paper starts at 2^13). All four are
+ * checked before anything runs. The memory analyses trace every
+ * access.
  */
 
 #include <algorithm>
@@ -111,8 +110,7 @@ const std::array<ArtifactInfo, kNumArtifacts> kArtifacts{{
                "sizes)"},
     {"table6", "E9 Table VI: Amdahl/Gustafson serial-parallel split (i9 "
                "model)"},
-    {"ablation", "E10 methodology ablations: trace sampling vs MPKI, "
-                 "counting probe cost"},
+    {"ablation", "E10 methodology ablation: counting probe cost"},
     {"schemes", "E11 §IV-A: Groth16 vs PlonK vs transparent STARK"},
     {"zoo", "E12: the prove-stage analyses and pipeline times over the "
             "circuit zoo"},
@@ -218,9 +216,6 @@ struct SchemeTimes
     bool verified = true;
 };
 
-/** E10 A3 sampling masks: trace 1 in (mask + 1) accesses. */
-const std::array<sim::u32, 4> kSampleMasks{0, 1, 3, 7};
-
 /** E12/E13: the scale of each zoo entry; E12's times add x2 and x4. */
 const std::array<std::pair<const char*, std::size_t>, 7> kZooScales{{
     {"exp", 1024},
@@ -288,9 +283,6 @@ struct Sweeps
     std::array<obs::pmu::HwStats, kNumStages> hw{};
     /// E11 per swept size, by Scheme; kStark is empty off BN254.
     std::vector<std::array<SchemeTimes, kNumSchemes>> schemes;
-    /// E10 A3 (BN254): the memory sweep at the largest size, once per
-    /// kSampleMasks entry.
-    std::vector<std::vector<core::MemoryCell>> sampled;
     /// E10 A4 (BN254): ns per Fq multiply, counting off then on.
     std::array<double, 2> probeNs{};
     /// E12 (BN254): the observed Groth16 proving stage of each
@@ -622,11 +614,10 @@ observeProvers(const core::SweepConfig& cfg, Sweeps& out)
         obs.label = "stark " + air->name() + " " + pow2(n);
         stark::StarkProof proof;
         {
-            const core::CpuSinks sinks(cfg);
+            const core::CpuSinks sinks;
             const sim::CountingScope counting;
             const sim::Counters before = sim::counters();
-            proof = stark::prove(*air, params, cfg.threads, sinks.sinks(),
-                                 cfg.sampleMask);
+            proof = stark::prove(*air, params, cfg.threads, sinks.sinks());
             obs.counters = sim::counters() - before;
             obs.cpus = sinks.observations();
         }
@@ -659,12 +650,13 @@ measureHwStages(std::size_t n)
 
 /**
  * Run each sweep the selected artifacts need, once. In --hw mode
- * (@p hw) fig4, table2 and table3 read only the largest size.
+ * (@p hw) fig4, table2 and table3 read only the largest size; the
+ * weak-scaling sweep starts at @p ws_base constraints.
  */
 template <typename Curve>
 Sweeps
 runSweeps(const Selection& want, bool hw,
-          const std::vector<std::size_t>& sizes)
+          const std::vector<std::size_t>& sizes, std::size_t ws_base)
 {
     const std::vector<std::size_t> largest{sizes.back()};
     const sim::CpuModel& i9 = sim::cpuI9_13900K();
@@ -672,7 +664,6 @@ runSweeps(const Selection& want, bool hw,
     out.curve = Curve::kName;
 
     core::SweepConfig cfg;
-    cfg.sampleMask = sampleMask();
     // E10 and E12-E14, and the STARK column of E11, run on BN254 only.
     // E13 and E14 run first, so a one-time derivation (a fixed-base
     // table, a field's two-adicity data) lands in the same cell
@@ -707,11 +698,8 @@ runSweeps(const Selection& want, bool hw,
         out.strong =
             core::runStrongScaling<Curve>(cfg, kStrongThreads, i9);
     }
-    if (want[kFig7] || want[kTable6]) {
-        const std::size_t base = std::size_t(1)
-                                 << envLong("ZKP_WS_BASE_LOG_N", 10, 1, 30);
-        out.weak = core::runWeakScaling<Curve>(base, kWeakThreads, i9);
-    }
+    if (want[kFig7] || want[kTable6])
+        out.weak = core::runWeakScaling<Curve>(ws_base, kWeakThreads, i9);
     if (hw && (want[kFig4] || want[kTable2] || want[kTable3]))
         out.hw = measureHwStages<Curve>(sizes.back());
     if (want[kSchemes]) {
@@ -720,14 +708,8 @@ runSweeps(const Selection& want, bool hw,
             for (const SchemeTimes& t : row)
                 out.verified &= t.verified;
     }
-    if (want[kAblation] && bn254) {
-        cfg.sizes = largest;
-        for (sim::u32 mask : kSampleMasks) {
-            cfg.sampleMask = mask;
-            out.sampled.push_back(core::runMemoryAnalysis<Curve>(cfg));
-        }
+    if (want[kAblation] && bn254)
         out.probeNs = probeCost();
-    }
     return out;
 }
 
@@ -1296,26 +1278,10 @@ printSchemes(const Sweeps& bn, const Sweeps& bls,
                table);
 }
 
-/** E10: A3 on the i9 model, then A4. */
+/** E10 A4: the counting probe's cost. */
 void
-printAblation(const Sweeps& bn, std::size_t n)
+printAblation(const Sweeps& bn)
 {
-    TextTable sampling;
-    sampling.setHeader({"sample mask", "traced accesses", "witness MPKI",
-                        "proving MPKI"});
-    for (std::size_t i = 0; i < kSampleMasks.size(); ++i) {
-        const auto mpki = [&](Stage s) {
-            return fmtF(
-                onCpu(memoryCell(bn.sampled[i], s, n), "i9-13900K").mpki, 4);
-        };
-        sampling.addRow({std::to_string(kSampleMasks[i]),
-                         "1/" + std::to_string(kSampleMasks[i] + 1),
-                         mpki(Stage::Witness), mpki(Stage::Proving)});
-    }
-    printTable("E10 A3 trace sampling vs MPKI (i9 model, n=" + pow2(n) +
-                   ", " + bn.curve + ")",
-               sampling);
-
     TextTable probe;
     probe.setHeader({"what", "ns/op"});
     probe.addRow({"a * b, counting off (default)", fmtF(bn.probeNs[0], 2)});
@@ -1542,7 +1508,7 @@ printArtifact(Artifact a, const Sweeps& bn, const Sweeps& bls,
         printTable6(bn, bls);
         break;
       case kAblation:
-        printAblation(bn, largest);
+        printAblation(bn);
         break;
       case kSchemes:
         printSchemes(bn, bls, sizes);
@@ -1610,15 +1576,15 @@ run(int argc, char** argv)
         want.fill(true);
 
     const auto sizes = sweepSizes();
-    std::printf("bench_paper: n=%s..%s, repeats=%u, sample mask=%u, "
-                "mul: %s, sha256: %s\n",
+    const std::size_t ws_base = std::size_t(1)
+                                << envLong("ZKP_WS_BASE_LOG_N", 10, 1, 30);
+    std::printf("bench_paper: n=%s..%s, repeats=%u, mul: %s, sha256: %s\n",
                 pow2(sizes.front()).c_str(), pow2(sizes.back()).c_str(),
-                repeats(), sampleMask(), ff::mulImplName(),
-                stark::shaImplName());
+                repeats(), ff::mulImplName(), stark::shaImplName());
     const bool hw = hw_flag && hwModeUsable();
 
-    const Sweeps bn = runSweeps<snark::Bn254>(want, hw, sizes);
-    const Sweeps bls = runSweeps<snark::Bls381>(want, hw, sizes);
+    const Sweeps bn = runSweeps<snark::Bn254>(want, hw, sizes, ws_base);
+    const Sweeps bls = runSweeps<snark::Bls381>(want, hw, sizes, ws_base);
 
     for (std::size_t a = 0; a < kNumArtifacts; ++a) {
         if (want[a]) {

@@ -37,7 +37,6 @@ set(titles
     "Table V (paper, for comparison)"
     "Table VI: serial/parallel percentages"
     "Table VI (paper, for comparison)"
-    "E10 A3 trace sampling vs MPKI (i9 model, n=2^8, BN128)"
     "E10 A4 counting probe cost (Fq multiply, BN128)"
     "E11 Groth16 vs PlonK vs transparent STARK, BN128"
     "E12 zoo prove-stage characterization (i9 model), BN128"
@@ -99,10 +98,12 @@ if(NOT rc EQUAL 2)
     message(FATAL_ERROR "bench_paper nosuch exited ${rc}, expected 2")
 endif()
 
-# Settings are checked before anything runs. Only values that are safe
-# to hand to an unchecked reader are tried: a repeat count of 0 and a
-# malformed or oversized log size.
-foreach(setting "ZKP_REPEATS=0" "ZKP_MAX_LOG_N=abc" "ZKP_MAX_LOG_N=64")
+# Settings are checked before anything runs, the weak-scaling base too,
+# though schemes does not read it. Only values that are safe to hand to
+# an unchecked reader are tried: a repeat count of 0 and a malformed or
+# oversized log size.
+foreach(setting "ZKP_REPEATS=0" "ZKP_MAX_LOG_N=abc" "ZKP_MAX_LOG_N=64"
+        "ZKP_WS_BASE_LOG_N=abc")
     execute_process(COMMAND ${CMAKE_COMMAND} -E env ${setting}
             ${BENCH_PAPER} schemes
         RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)

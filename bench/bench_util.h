@@ -8,10 +8,9 @@
  *                   paper sweeps to 18 — raise this when you have the
  *                   minutes to spare)
  *   ZKP_REPEATS     timing repeats, averaged (default 3, as in §IV)
- *   ZKP_SAMPLE_MASK memory-trace sampling mask (default 0 = trace all)
  *
  * A value that is not a decimal integer in its range (log sizes 1–30
- * with min <= max, repeats 1–1000, mask 0–2^20) prints why and exits 2.
+ * with min <= max, repeats 1–1000) prints why and exits 2.
  */
 
 #ifndef ZKP_BENCH_UTIL_H
@@ -73,12 +72,6 @@ inline unsigned
 repeats()
 {
     return (unsigned)envLong("ZKP_REPEATS", 3, 1, 1000);
-}
-
-inline sim::u32
-sampleMask()
-{
-    return (sim::u32)envLong("ZKP_SAMPLE_MASK", 0, 0, 1L << 20);
 }
 
 /** Print a titled table. */

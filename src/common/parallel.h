@@ -20,6 +20,7 @@
 
 #include <chrono>
 #include <cstddef>
+#include <memory>
 #include <type_traits>
 
 #include "common/thread_pool.h"
@@ -84,12 +85,16 @@ parallelFor(std::size_t n, std::size_t threads, Fn&& fn)
     }
     if (threads > n)
         threads = n;
+    // The pool's context is a plain void*; Fn keeps any const, so a
+    // const callable is called back as const.
+    using F = std::remove_reference_t<Fn>;
     const auto thunk = [](void* ctx, std::size_t slot, std::size_t begin,
                           std::size_t end) {
-        (*static_cast<std::remove_reference_t<Fn>*>(ctx))(slot, begin,
-                                                          end);
+        (*static_cast<F*>(ctx))(slot, begin, end);
     };
-    ThreadPool::instance().run(n, threads, thunk, &fn);
+    ThreadPool::instance().run(
+        n, threads, thunk,
+        const_cast<void*>(static_cast<const void*>(std::addressof(fn))));
 }
 
 } // namespace zkp

@@ -4,13 +4,11 @@
 
 namespace zkp::core {
 
-CpuSinks::CpuSinks(const SweepConfig& cfg)
-    : scale_((double)(cfg.sampleMask + 1)),
-      windowInstr_(cfg.bandwidthWindowInstr)
+CpuSinks::CpuSinks()
 {
     for (const sim::CpuModel* cpu : sim::allCpuModels()) {
         caches_.push_back(std::make_unique<sim::CacheHierarchy>(
-            cpu->makeHierarchy(windowInstr_)));
+            cpu->makeHierarchy(kBandwidthWindowInstr)));
         predictors_.push_back(std::make_unique<sim::GsharePredictor>(
             cpu->name, cpu->predictorBits));
         sinks_.push_back(caches_.back().get());
@@ -27,14 +25,13 @@ CpuSinks::observations() const
         CpuObservation c;
         c.cpu = models[i];
         const sim::CacheHierarchy& h = *caches_[i];
-        c.l1Misses = (double)h.l1().stats().misses * scale_;
-        c.l2Misses = (double)h.l2().stats().misses * scale_;
-        c.llcLoadMisses = (double)h.llcLoadMisses() * scale_;
+        c.l1Misses = (double)h.l1().stats().misses;
+        c.l2Misses = (double)h.l2().stats().misses;
+        c.llcLoadMisses = (double)h.llcLoadMisses();
         c.llcTotalMisses =
-            (double)(h.llcLoadMisses() + h.llcStoreMisses()) * scale_;
-        c.dramBytes = (double)h.dramBytes() * scale_;
-        c.peakWindowBytes = (double)h.peakWindowBytes() * scale_;
-        c.windowInstr = windowInstr_;
+            (double)(h.llcLoadMisses() + h.llcStoreMisses());
+        c.dramBytes = (double)h.dramBytes();
+        c.peakWindowBytes = (double)h.peakWindowBytes();
         c.branchEvents = (double)predictors_[i]->stats().events;
         c.branchMispredicts = (double)predictors_[i]->stats().mispredicts;
         out.push_back(c);

@@ -32,13 +32,12 @@ struct SweepConfig
 {
     /// Constraint counts to sweep (the paper uses 2^10 .. 2^18).
     std::vector<std::size_t> sizes;
-    /// Memory-trace sampling: trace 1 in (mask + 1) accesses.
-    sim::u32 sampleMask = 0;
     /// Worker threads for the stage execution itself.
     std::size_t threads = 1;
-    /// Instruction window for bandwidth tracking.
-    u64 bandwidthWindowInstr = 2'000'000;
 };
+
+/** Width of one bandwidth window (Table III), in retired instructions. */
+constexpr u64 kBandwidthWindowInstr = 2'000'000;
 
 /** Per-CPU microarchitectural observation of one stage run. */
 struct CpuObservation
@@ -50,7 +49,6 @@ struct CpuObservation
     double llcTotalMisses = 0;
     double dramBytes = 0;
     double peakWindowBytes = 0;
-    u64 windowInstr = 0;
     double branchEvents = 0;
     double branchMispredicts = 0;
 };
@@ -75,17 +73,15 @@ struct StageObservation
 class CpuSinks
 {
   public:
-    explicit CpuSinks(const SweepConfig& cfg);
+    CpuSinks();
 
     /** The sinks to hand to the measured run. */
     const std::vector<sim::TraceSink*>& sinks() const { return sinks_; }
 
-    /** What each CPU saw, scaled back up by the sampling rate. */
+    /** What each CPU saw. */
     std::vector<CpuObservation> observations() const;
 
   private:
-    double scale_;
-    u64 windowInstr_;
     std::vector<std::unique_ptr<sim::CacheHierarchy>> caches_;
     std::vector<std::unique_ptr<sim::GsharePredictor>> predictors_;
     std::vector<sim::TraceSink*> sinks_;
@@ -99,12 +95,12 @@ StageObservation
 observeStage(StageRunner<Curve>& runner, Stage stage,
              const SweepConfig& cfg)
 {
-    const CpuSinks sinks(cfg);
+    const CpuSinks sinks;
     resetParallelWorkSeconds();
     StageObservation obs;
     obs.stage = stage;
     obs.constraints = runner.constraints();
-    obs.run = runner.run(stage, cfg.threads, sinks.sinks(), cfg.sampleMask);
+    obs.run = runner.run(stage, cfg.threads, sinks.sinks());
     obs.parallelSeconds = parallelWorkSeconds();
     obs.cpus = sinks.observations();
     return obs;
@@ -226,7 +222,7 @@ runMemoryAnalysis(const SweepConfig& cfg)
                                           conc) /
                         1e9;
                     const double window_sec =
-                        (double)cpu.windowInstr *
+                        (double)kBandwidthWindowInstr *
                         (td.totalCycles / std::max(instr, 1.0)) / hz;
                     if (window_sec > 0 && cpu.peakWindowBytes > 0) {
                         pc.maxBandwidthGBps =

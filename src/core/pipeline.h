@@ -99,11 +99,10 @@ class StageRunner
      * @param threads worker threads for the stage
      * @param sinks trace sinks (cache models, predictors); empty
      *        disables address/branch tracing
-     * @param sample_mask memory-trace sampling (see ScopedTrace)
      */
     StageRun
     run(Stage s, std::size_t threads = 1,
-        std::vector<sim::TraceSink*> sinks = {}, sim::u32 sample_mask = 0)
+        std::vector<sim::TraceSink*> sinks = {})
     {
         {
             ZKP_TRACE_SCOPE("prerequisites");
@@ -113,7 +112,7 @@ class StageRunner
         // prerequisites above run uncounted.
         const sim::CountingScope counting;
         return measureStage(stageName(s), Curve::kName, constraints_,
-                            threads, std::move(sinks), sample_mask,
+                            threads, std::move(sinks),
                             [&] { execute(s, threads); });
     }
 

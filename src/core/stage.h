@@ -134,13 +134,12 @@ class StageBracket
  * @param threads worker threads used by the stage
  * @param sinks  trace sinks for the memory-system models; empty
  *               disables address tracing
- * @param sample_mask memory-trace sampling mask (sim::ScopedTrace)
  */
 template <typename Fn>
 StageRun
 measureStage(const char* stage, const std::string& tag, std::size_t work,
              std::size_t threads, std::vector<sim::TraceSink*> sinks,
-             sim::u32 sample_mask, Fn&& fn)
+             Fn&& fn)
 {
     std::optional<sim::CountingScope> counting;
     if (obs::reportAtExit() || !sinks.empty())
@@ -152,7 +151,7 @@ measureStage(const char* stage, const std::string& tag, std::size_t work,
     StageRun out;
     Timer timer;
     {
-        sim::ScopedTrace trace(std::move(sinks), sample_mask);
+        sim::ScopedTrace trace(std::move(sinks));
         ZKP_TRACE_SCOPE(stage);
         fn();
     }

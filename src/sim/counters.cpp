@@ -22,7 +22,7 @@ void
 traceAccessSlow(u64 addr, u32 bytes, bool write)
 {
     TraceControl& t = traceControl();
-    const u64 icount = counters().instructions();
+    const u64 icount = counters().instructions() - t.icountBase;
     for (TraceSink* sink : t.sinks)
         sink->onAccess(addr, bytes, write, icount);
 }

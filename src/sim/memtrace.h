@@ -39,7 +39,8 @@ class TraceSink
      * @param addr virtual byte address
      * @param bytes access size
      * @param write true for stores
-     * @param icount the thread's retired-instruction count at the access
+     * @param icount instructions the thread retired since the trace
+     *               began (ScopedTrace)
      */
     virtual void onAccess(u64 addr, u32 bytes, bool write, u64 icount) = 0;
 
@@ -51,9 +52,9 @@ class TraceSink
 struct TraceControl
 {
     bool active = false;
-    /// Sample 1 of every (sampleMask + 1) accesses; 0 traces everything.
-    u32 sampleMask = 0;
-    u64 tick = 0;
+    /// The thread's instruction count when the trace began; sinks see
+    /// counts relative to it.
+    u64 icountBase = 0;
     std::vector<TraceSink*> sinks;
 };
 
@@ -73,8 +74,6 @@ traceLoad(const void* p, std::size_t bytes)
     TraceControl& t = traceControl();
     if (!t.active) [[likely]]
         return;
-    if ((t.tick++ & t.sampleMask) != 0)
-        return;
     traceAccessSlow((u64)(std::uintptr_t)p, (u32)bytes, false);
 }
 
@@ -85,16 +84,10 @@ traceStore(const void* p, std::size_t bytes)
     TraceControl& t = traceControl();
     if (!t.active) [[likely]]
         return;
-    if ((t.tick++ & t.sampleMask) != 0)
-        return;
     traceAccessSlow((u64)(std::uintptr_t)p, (u32)bytes, true);
 }
 
-/**
- * Report a data-dependent conditional branch outcome. Branch events are
- * not sampled: predictor state needs the full outcome stream at the
- * instrumented sites to behave like the hardware structure.
- */
+/** Report a data-dependent conditional branch outcome. */
 inline void
 branchEvent(u32 site, bool taken)
 {
@@ -105,27 +98,24 @@ branchEvent(u32 site, bool taken)
 }
 
 /**
- * RAII enabling of tracing on the current thread with the given sinks.
- * Restores the previous control block on destruction. With sinks it
- * also holds a CountingScope: sinks receive the instruction count at
- * each access (the cache model's bandwidth windows).
+ * RAII enabling of tracing on the current thread with the given sinks:
+ * every access is traced. Restores the previous control block on
+ * destruction. With sinks it also holds a CountingScope: sinks receive
+ * the instructions counted since the scope began at each access (the
+ * cache model's bandwidth windows), whatever the thread counted before.
  */
 class ScopedTrace
 {
   public:
-    /**
-     * @param sinks sinks to attach for the scope
-     * @param sample_mask sample 1 in (mask+1) accesses
-     */
-    ScopedTrace(std::vector<TraceSink*> sinks, u32 sample_mask = 0)
+    /** @param sinks sinks to attach for the scope */
+    explicit ScopedTrace(std::vector<TraceSink*> sinks)
         : saved_(traceControl())
     {
         if (!sinks.empty())
             counting_.emplace();
         TraceControl& t = traceControl();
         t.active = !sinks.empty();
-        t.sampleMask = sample_mask;
-        t.tick = 0;
+        t.icountBase = counters().instructions();
         t.sinks = std::move(sinks);
     }
 

@@ -41,7 +41,7 @@ struct StageEvents
 {
     /// Instrumented instruction counters for the stage.
     Counters counters;
-    /// Demand misses per level, already scaled to full (unsampled) rate.
+    /// Demand misses per level (every access traced).
     double l1Misses = 0;
     double l2Misses = 0;
     double llcMisses = 0;

@@ -248,13 +248,11 @@ invertColumn(std::vector<Gl>& v, std::size_t threads)
  * @param params  proof-shape knobs
  * @param threads worker threads for the data-parallel stages
  * @param sinks   optional trace sinks for the memory-system models
- * @param sample_mask memory-trace sampling mask
  */
 inline StarkProof
 prove(const Air& air, const StarkParams& params,
       std::size_t threads = 1,
-      const std::vector<sim::TraceSink*>& sinks = {},
-      sim::u32 sample_mask = 0)
+      const std::vector<sim::TraceSink*>& sinks = {})
 {
     const std::size_t n = air.steps();
     const std::size_t w = air.columns();
@@ -272,7 +270,7 @@ prove(const Air& air, const StarkParams& params,
     // --- trace_gen -------------------------------------------------
     std::vector<Gl> trace;
     core::measureStage("stark_trace_gen", tag, work, threads, sinks,
-                       sample_mask, [&] { trace = air.buildTrace(); });
+                       [&] { trace = air.buildTrace(); });
     assert(trace.size() == n * w);
 
     // --- lde -------------------------------------------------------
@@ -283,8 +281,7 @@ prove(const Air& air, const StarkParams& params,
     // repeats with period blowup * period(column).
     std::vector<std::vector<Gl>> periodicLde;
     const auto periodicCols = air.periodicColumns();
-    core::measureStage("stark_lde", tag, work, threads, sinks,
-                       sample_mask, [&] {
+    core::measureStage("stark_lde", tag, work, threads, sinks, [&] {
         sim::countAlloc(N * w * sizeof(Gl));
         for (std::size_t c = 0; c < w; ++c) {
             std::vector<Gl> col(n);
@@ -317,8 +314,7 @@ prove(const Air& air, const StarkParams& params,
 
     // --- commit ----------------------------------------------------
     std::vector<MerkleTree> trees; // [0] = trace, then FRI layers
-    core::measureStage("stark_commit", tag, work, threads, sinks,
-                       sample_mask, [&] {
+    core::measureStage("stark_commit", tag, work, threads, sinks, [&] {
         trees.push_back(MerkleTree::fromRows(ldeRows.data(), N, w,
                                              threads));
     });
@@ -343,8 +339,7 @@ prove(const Air& air, const StarkParams& params,
 
     // --- fri -------------------------------------------------------
     std::vector<std::vector<Gl>> layers; // FRI evaluation layers
-    core::measureStage("stark_fri", tag, work, threads, sinks,
-                       sample_mask, [&] {
+    core::measureStage("stark_fri", tag, work, threads, sinks, [&] {
         const Gl shift = ldeDom.cosetShift();
         const Gl omega = ldeDom.omega();
         const Gl gLast = traceDom.element(n - 1);
@@ -505,8 +500,7 @@ prove(const Air& air, const StarkParams& params,
     });
 
     // --- query -----------------------------------------------------
-    core::measureStage("stark_query", tag, work, threads, sinks,
-                       sample_mask, [&] {
+    core::measureStage("stark_query", tag, work, threads, sinks, [&] {
         proof.powNonce = ch.grind(params.grindBits);
         for (std::size_t q = 0; q < params.queries; ++q) {
             const std::size_t p = ch.queryIndex(N / 2);
@@ -562,7 +556,7 @@ verify(const Air& air, const StarkParams& params,
 
     bool ok = true;
     core::measureStage(
-        "stark_verify", "gl64/" + air.name(), n * w, 1, {}, 0, [&] {
+        "stark_verify", "gl64/" + air.name(), n * w, 1, {}, [&] {
         ok = false;
         // Shape checks before anything dereferences the proof.
         if (n < 16 || (n & (n - 1)) != 0 || folds == 0)

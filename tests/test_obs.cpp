@@ -824,7 +824,7 @@ TEST(PmuTest, ConcurrentStagesKeepTheirOwnWorkerSamples)
     for (int t = 0; t < 2; ++t)
         callers.emplace_back([&, t] {
             got[t] = core::measureStage("pmu_concurrent", "test", kItems,
-                                        2, {}, 0,
+                                        2, {},
                                         [&] {
                                             parallelFor(kItems, 2, busy);
                                         })

@@ -65,6 +65,19 @@ TEST(ThreadPoolTest, ChunkedDispatchCoversRangeExactlyOnce)
         ASSERT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
+TEST(ThreadPoolTest, ConstLoopBodyRuns)
+{
+    constexpr std::size_t kN = 1000;
+    std::atomic<std::size_t> total{0};
+    const auto body = [&](std::size_t, std::size_t b, std::size_t e) {
+        total += e - b;
+    };
+    parallelFor(kN, 4, body);
+    EXPECT_EQ(total.load(), kN);
+    parallelFor(kN, 1, body); // the inline path takes it too
+    EXPECT_EQ(total.load(), 2 * kN);
+}
+
 TEST(ThreadPoolTest, SlotIdsStayInRange)
 {
     constexpr std::size_t kThreads = 6;

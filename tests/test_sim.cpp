@@ -9,6 +9,8 @@
 #include <atomic>
 #include <functional>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/parallel.h"
 #include "ff/params.h"
@@ -215,20 +217,35 @@ TEST(MemTrace, DisabledByDefaultAndScoped)
     EXPECT_EQ(rec.n, 2u);
 }
 
-TEST(MemTrace, SamplingMask)
+TEST(MemTrace, WindowsKeyOnTheTracedRegion)
 {
-    struct Recorder : TraceSink
+    // Bandwidth windows count instructions from the start of the trace,
+    // so the same traced loop yields the same windows whatever the
+    // thread counted before it.
+    std::vector<u64> buf(32 * 1024);
+    const auto tracedLoop = [&] {
+        auto h = cpuI9_13900K().makeHierarchy(1000);
+        {
+            ScopedTrace scope({&h});
+            for (std::size_t i = 0; i < buf.size(); i += 8) {
+                count(PrimOp::FieldMul, 4);
+                traceLoad(&buf[i], 8);
+            }
+        }
+        std::vector<std::pair<u64, u64>> out;
+        for (const TrafficWindow& w : h.windows())
+            out.emplace_back(w.startInstr, w.bytes);
+        return out;
+    };
+    const auto first = tracedLoop();
     {
-        u64 n = 0;
-        void onAccess(u64, u32, bool, u64) override { ++n; }
-    } rec;
-    int x = 0;
-    {
-        ScopedTrace scope({&rec}, 3); // 1 of 4
-        for (int i = 0; i < 100; ++i)
-            traceLoad(&x, 4);
+        const CountingScope counting;
+        count(PrimOp::FieldMul, 4, 777);
     }
-    EXPECT_EQ(rec.n, 25u);
+    const auto second = tracedLoop();
+    ASSERT_GE(first.size(), 3u);
+    EXPECT_EQ(first.front().first, 0u);
+    EXPECT_EQ(first, second);
 }
 
 TEST(CacheLevel, HitsAfterFill)
