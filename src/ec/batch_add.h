@@ -304,7 +304,7 @@ class BatchAffineAdder
         // lambda = num / den; reuse den for lambda, then num for
         // lambda^2 (chord and tangent share the rest of the formula).
         ff::mulBatch(den_.data(), num_.data(), den_.data(), m);
-        ff::mulBatch(num_.data(), den_.data(), den_.data(), m);
+        ff::squareBatch(num_.data(), den_.data(), m);
         t_.resize(m);
         for (std::size_t i = 0; i < m; ++i) {
             Affine& l = *app_[i].lhs;

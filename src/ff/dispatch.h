@@ -9,8 +9,11 @@
  *              identical to operator*), for every field and for the
  *              tails of IFMA batches;
  *   - kIfma    AVX-512 IFMA (vpmadd52) radix-52 CIOS, eight products
- *              per call, for 4-limb (<= 256-bit) fields on CPUs that
- *              expose avx512ifma + avx512vl.
+ *              per call, for 4-limb (<= 256-bit) and 6-limb
+ *              (<= 384-bit) fields on CPUs that expose avx512ifma +
+ *              avx512vl; one kernel template serves both widths
+ *              (ff/fp_ifma.h). Fp2 batches run on it through three
+ *              base-field passes (ff/fp2.h).
  *
  * The choice is made once per process from CPUID, and can be forced
  * down to the scalar reference with ZKP_FF_FORCE_SCALAR=1 (CI runs the

@@ -382,10 +382,11 @@ class Fp
     /**
      * Batched multiply: out[i] = a[i] * b[i] for i < n.
      *
-     * Dispatches once per process (ff/dispatch.h): for 4-limb fields
-     * on CPUs with AVX-512 IFMA, the radix-52 kernel in blocks of
-     * eight; the scalar CIOS for every other field, for the tail, and
-     * for the whole batch under ZKP_FF_FORCE_SCALAR=1. Both paths
+     * Dispatches once per process (ff/dispatch.h): for 4- and 6-limb
+     * fields on CPUs with AVX-512 IFMA, the radix-52 kernel
+     * (ff/fp_ifma.h) in blocks of eight; the scalar CIOS for every
+     * other width, for the tail, and for the whole batch under
+     * ZKP_FF_FORCE_SCALAR=1. Both paths
      * return identical limbs. In-place use (out == a and/or
      * out == b) is allowed: each block is fully read before any of
      * its outputs are written.
@@ -401,13 +402,13 @@ class Fp
         sim::count(sim::PrimOp::FieldMul, N, n);
         std::size_t i = 0;
 #if ZKP_FF_HAVE_IFMA
-        if constexpr (N == 4) {
+        if constexpr (N == 4 || N == 6) {
             if (impl == MulImpl::kIfma)
                 for (; i + 8 <= n; i += 8)
-                    ifma::montMul8x256(out[i].v_.limbs.data(),
-                                       a[i].v_.limbs.data(),
-                                       b[i].v_.limbs.data(),
-                                       kModulus.limbs.data(), kN0);
+                    ifma::montMul8<N>(out[i].v_.limbs.data(),
+                                      a[i].v_.limbs.data(),
+                                      b[i].v_.limbs.data(),
+                                      kModulus.limbs.data(), kN0);
         }
 #endif
         for (; i < n; ++i)
@@ -454,8 +455,8 @@ class Fp
 
 /**
  * Batched multiply for any field type: out[i] = a[i] * b[i]. Routes
- * through the dispatched Fp::mulBatch kernel when F provides one
- * (prime fields), falling back to operator* (extension fields).
+ * through F::mulBatch when F provides one (prime fields, and Fp2 over
+ * the base field's kernel), falling back to operator* (Fp6, Fp12).
  */
 template <typename F>
 void
@@ -467,6 +468,21 @@ mulBatch(F* out, const F* a, const F* b, std::size_t n)
         for (std::size_t i = 0; i < n; ++i)
             out[i] = a[i] * b[i];
     }
+}
+
+/**
+ * Batched squaring for any field type: out[i] = a[i]^2. Uses F's own
+ * squareBatch when it has one (Fp2: two base-field products per
+ * element, not three), else mulBatch(out, a, a, n). out may alias a.
+ */
+template <typename F>
+void
+squareBatch(F* out, const F* a, std::size_t n)
+{
+    if constexpr (requires { F::squareBatch(out, a, n); })
+        F::squareBatch(out, a, n);
+    else
+        mulBatch(out, a, a, n);
 }
 
 /**

@@ -9,9 +9,12 @@
 #ifndef ZKP_FF_FP2_H
 #define ZKP_FF_FP2_H
 
+#include <algorithm>
+#include <cstddef>
 #include <string>
 
 #include "common/rng.h"
+#include "ff/dispatch.h"
 
 namespace zkp::ff {
 
@@ -75,6 +78,67 @@ struct Fp2
     }
 
     Fp2 doubled() const { return *this + *this; }
+
+    /**
+     * Batched multiply: out[i] = a[i] * b[i] for i < n. Runs
+     * operator*'s Karatsuba as three Fq::mulBatch passes over the
+     * gathered c0*c0', c1*c1' and (c0+c1)(c0'+c1'), so Fq2 products
+     * reach the dispatched base-field kernel (IFMA where available).
+     * The adds are operator*'s, so results and sim counts equal n
+     * calls of it. In-place use (out == a and/or out == b) is allowed.
+     *
+     * @param impl the base-field tier (see Fp::mulBatch)
+     */
+    static void
+    mulBatch(Fp2* out, const Fp2* a, const Fp2* b, std::size_t n,
+             MulImpl impl = mulImpl())
+    {
+        Fq x0[kBlock], x1[kBlock], y0[kBlock], y1[kBlock], xs[kBlock],
+            ys[kBlock];
+        for (std::size_t i = 0; i < n; i += kBlock) {
+            const std::size_t k = std::min(kBlock, n - i);
+            for (std::size_t j = 0; j < k; ++j) {
+                x0[j] = a[i + j].c0;
+                x1[j] = a[i + j].c1;
+                y0[j] = b[i + j].c0;
+                y1[j] = b[i + j].c1;
+                xs[j] = x0[j] + x1[j];
+                ys[j] = y0[j] + y1[j];
+            }
+            Fq::mulBatch(x0, x0, y0, k, impl); // t0
+            Fq::mulBatch(x1, x1, y1, k, impl); // t1
+            Fq::mulBatch(xs, xs, ys, k, impl); // mixed
+            for (std::size_t j = 0; j < k; ++j)
+                out[i + j] = {x0[j] - x1[j], xs[j] - x0[j] - x1[j]};
+        }
+    }
+
+    /**
+     * Batched squaring: out[i] = a[i].squared() for i < n, as two
+     * Fq::mulBatch passes over (c0+c1)(c0-c1) and c0*c1: two base-field
+     * products per element where mulBatch(out, a, a, n) takes three.
+     * Results and sim counts equal n calls of squared(); out may
+     * alias a.
+     */
+    static void
+    squareBatch(Fp2* out, const Fp2* a, std::size_t n,
+                MulImpl impl = mulImpl())
+    {
+        Fq x0[kBlock], x1[kBlock], s[kBlock], d[kBlock];
+        for (std::size_t i = 0; i < n; i += kBlock) {
+            const std::size_t k = std::min(kBlock, n - i);
+            for (std::size_t j = 0; j < k; ++j) {
+                x0[j] = a[i + j].c0;
+                x1[j] = a[i + j].c1;
+                s[j] = x0[j] + x1[j];
+                d[j] = x0[j] - x1[j];
+            }
+            Fq::mulBatch(s, s, d, k, impl);    // c0^2 - c1^2
+            Fq::mulBatch(x0, x0, x1, k, impl); // c0*c1
+            for (std::size_t j = 0; j < k; ++j)
+                out[i + j] = {s[j], x0[j] + x0[j]};
+        }
+    }
 
     /** Conjugate c0 - c1*u; equals the p-power Frobenius here. */
     Fp2 conjugate() const { return {c0, -c1}; }
@@ -145,6 +209,11 @@ struct Fp2
         }
         return false;
     }
+
+  private:
+    /// Elements per gather block of mulBatch/squareBatch (a multiple
+    /// of the IFMA kernel's eight lanes).
+    static constexpr std::size_t kBlock = 64;
 };
 
 } // namespace zkp::ff

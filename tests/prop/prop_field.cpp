@@ -171,6 +171,29 @@ TYPED_TEST(PrimeFieldLaws, SqrtAndLegendre)
     });
 }
 
+// The IFMA kernel (4- and 6-limb widths) against the scalar CIOS on
+// 8 x 512 random products per field: whole 8-lane blocks and a tail.
+TYPED_TEST(PrimeFieldLaws, MulBatchIfmaMatchesScalar)
+{
+    using F = TypeParam;
+    if (!ff::ifmaSupported())
+        GTEST_SKIP() << "no AVX-512 IFMA on this host or build";
+    forAll("field_mulbatch_ifma", 8, [&](Rng& rng, std::size_t) {
+        constexpr std::size_t kN = 512;
+        std::vector<F> a(kN), b(kN), ifma(kN), scalar(kN);
+        for (std::size_t i = 0; i < kN; ++i) {
+            a[i] = F::random(rng);
+            b[i] = F::random(rng);
+        }
+        const std::size_t n = kN - rng.nextBelow(8);
+        F::mulBatch(ifma.data(), a.data(), b.data(), n,
+                    ff::MulImpl::kIfma);
+        F::mulBatch(scalar.data(), a.data(), b.data(), n,
+                    ff::MulImpl::kScalar);
+        EXPECT_EQ(ifma, scalar);
+    });
+}
+
 // ---------------------------------------------------------------------
 // Quadratic-extension laws
 // ---------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include "ff/field_util.h"
 #include "ff/fp12.h"
 #include "ff/params.h"
+#include "sim/counters.h"
 
 namespace zkp::ff {
 namespace {
@@ -206,6 +207,32 @@ TYPED_TEST(PrimeFieldTest, MulBatchAllImplsMatchOperator)
         }
     }
 
+    // Whole 8-lane blocks at the radix bridge's bounds, on both kernel
+    // widths: the largest stored value (raw limbs p-1) squared in every
+    // lane, -1 squared in every lane, then all sixteen pairs of 0, 1,
+    // -1 and that value across two blocks.
+    typename F::Repr top_raw = F::kModulus;
+    top_raw.subInPlace(typename F::Repr(1));
+    const F top = F::fromRaw(top_raw);
+    const F edges[4] = {F::zero(), F::one(), -F::one(), top};
+    std::vector<F> ea(32), eb(32);
+    for (std::size_t i = 0; i < 8; ++i) {
+        ea[i] = eb[i] = top;
+        ea[8 + i] = eb[8 + i] = -F::one();
+    }
+    for (std::size_t i = 0; i < 16; ++i) {
+        ea[16 + i] = edges[i % 4];
+        eb[16 + i] = edges[i / 4];
+    }
+    for (MulImpl impl : impls) {
+        SCOPED_TRACE(::testing::Message() << "edge blocks, impl="
+                                          << (int)impl);
+        std::vector<F> out(ea.size());
+        F::mulBatch(out.data(), ea.data(), eb.data(), ea.size(), impl);
+        for (std::size_t i = 0; i < ea.size(); ++i)
+            EXPECT_EQ(out[i], ea[i] * eb[i]) << "lane " << i;
+    }
+
     // The generic helper routes prime fields through the same kernel.
     std::vector<F> generic(kMaxN);
     mulBatch(generic.data(), a.data(), b.data(), kMaxN);
@@ -233,21 +260,6 @@ TEST(MulBatch, IfmaHostSelectsIfmaKernel)
     if (!cpuinfoLists("avx512ifma"))
         GTEST_SKIP() << "/proc/cpuinfo does not list avx512ifma";
     EXPECT_STREQ(mulImplName(), "avx512ifma");
-}
-
-TEST(MulBatch, ExtensionFieldFallback)
-{
-    using F2 = Bn254Tower::Fq2;
-    Rng rng(8);
-    constexpr std::size_t kN = 9;
-    std::vector<F2> a(kN), b(kN), out(kN);
-    for (std::size_t i = 0; i < kN; ++i) {
-        a[i] = F2::random(rng);
-        b[i] = F2::random(rng);
-    }
-    mulBatch(out.data(), a.data(), b.data(), kN);
-    for (std::size_t i = 0; i < kN; ++i)
-        EXPECT_EQ(out[i], a[i] * b[i]);
 }
 
 TEST(FieldParams, ModulusProperties)
@@ -321,6 +333,77 @@ TYPED_TEST(TowerTest, Fp2FieldAxioms)
         if (!a.isZero()) {
             EXPECT_EQ(a * a.inverse(), Fq2::one());
         }
+    }
+}
+
+// Fp2::mulBatch and squareBatch run operator* and squared() as
+// base-field mulBatch passes: the same limbs and the same sim counts,
+// on both tiers, across block tails and with in-place aliasing.
+TYPED_TEST(TowerTest, Fp2MulBatchMatchesOperator)
+{
+    using F2 = typename TypeParam::Fq2;
+    Rng rng(8);
+    constexpr std::size_t kMaxN = 17;
+    std::vector<F2> a(kMaxN), b(kMaxN);
+    for (std::size_t i = 0; i < kMaxN; ++i) {
+        a[i] = F2::random(rng);
+        b[i] = F2::random(rng);
+    }
+    a[0] = F2::zero();
+    b[1] = F2::one();
+    a[2] = -F2::one();
+
+    std::vector<MulImpl> impls = {MulImpl::kScalar};
+    if (ifmaSupported())
+        impls.push_back(MulImpl::kIfma);
+    for (std::size_t n : {0, 1, 7, 8, 9, 17}) {
+        std::vector<F2> prod(n), square(n);
+        sim::CountingScope counting;
+        const sim::Counters c0 = sim::counters();
+        for (std::size_t i = 0; i < n; ++i)
+            prod[i] = a[i] * b[i];
+        const sim::Counters c1 = sim::counters();
+        for (std::size_t i = 0; i < n; ++i)
+            square[i] = a[i].squared();
+        const sim::Counters c2 = sim::counters();
+        for (MulImpl impl : impls) {
+            SCOPED_TRACE(::testing::Message()
+                         << "impl=" << (int)impl << " n=" << n);
+            std::vector<F2> out(n);
+            const sim::Counters d0 = sim::counters();
+            F2::mulBatch(out.data(), a.data(), b.data(), n, impl);
+            const sim::Counters d1 = sim::counters();
+            EXPECT_EQ(out, prod);
+            EXPECT_EQ((d1 - d0).prim, (c1 - c0).prim);
+
+            std::vector<F2> sq(n);
+            F2::squareBatch(sq.data(), a.data(), n, impl);
+            const sim::Counters d2 = sim::counters();
+            EXPECT_EQ(sq, square);
+            EXPECT_EQ((d2 - d1).prim, (c2 - c1).prim);
+
+            std::vector<F2> lhs(a.begin(), a.begin() + n);
+            F2::mulBatch(lhs.data(), lhs.data(), b.data(), n, impl);
+            EXPECT_EQ(lhs, prod);
+            std::vector<F2> rhs(b.begin(), b.begin() + n);
+            F2::mulBatch(rhs.data(), a.data(), rhs.data(), n, impl);
+            EXPECT_EQ(rhs, prod);
+            std::vector<F2> both(a.begin(), a.begin() + n);
+            F2::mulBatch(both.data(), both.data(), both.data(), n, impl);
+            EXPECT_EQ(both, square);
+            std::vector<F2> self(a.begin(), a.begin() + n);
+            F2::squareBatch(self.data(), self.data(), n, impl);
+            EXPECT_EQ(self, square);
+        }
+    }
+
+    // The generic helpers route Fp2 through the same passes.
+    std::vector<F2> generic(kMaxN), gsq(kMaxN);
+    mulBatch(generic.data(), a.data(), b.data(), kMaxN);
+    squareBatch(gsq.data(), a.data(), kMaxN);
+    for (std::size_t i = 0; i < kMaxN; ++i) {
+        EXPECT_EQ(generic[i], a[i] * b[i]);
+        EXPECT_EQ(gsq[i], a[i].squared());
     }
 }
 
