@@ -130,16 +130,16 @@ montMul8(u64* out, const u64* a, const u64* b, const u64* mod, u64 n0)
 
     // Radix NWx64 -> NLx52; the a side is fused with the *2^S
     // pre-scale (limb j is bit window j*52-S .. j*52+51-S of a).
+    __m512i M64[NW];
+#pragma GCC unroll 8
+    for (int j = 0; j < NW; ++j)
+        M64[j] = _mm512_set1_epi64((long long)mod[j]);
     __m512i A[NL], B[NL], P[NL];
 #pragma GCC unroll 8
     for (int j = 0; j < NL; ++j) {
         A[j] = detail::window52<NW>(A64, 52 * j - S, mask);
         B[j] = detail::window52<NW>(B64, 52 * j, mask);
-        const int w = 52 * j / 64, s = 52 * j % 64;
-        u64 p = mod[w] >> s;
-        if (s > 12 && w + 1 < NW)
-            p |= mod[w + 1] << (64 - s);
-        P[j] = _mm512_set1_epi64((long long)(p & kMask52));
+        P[j] = detail::window52<NW>(M64, 52 * j, mask);
     }
     const __m512i vn0 = _mm512_set1_epi64((long long)(n0 & kMask52));
 
